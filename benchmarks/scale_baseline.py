@@ -14,9 +14,13 @@ Two strategies cover the two event-population shapes:
 * ``ww-posix`` — worker/worker with independent writes: wide synchronized
   phases, large same-timestamp batches.
 
-``ww-coll`` is deliberately excluded: its collective machinery at 1000
-ranks costs ~70 s per run, which belongs in a nightly sweep, not a
-per-PR gate.
+``ww-coll`` is deliberately excluded: one run at 1000 ranks / 128
+servers / 250 fragments took 86.5 s with generator-driven message
+protocols and 56.5 s with the callback-driven eager/OOB/loopback sends
+(same simulated ``elapsed`` 5.28426249103061; one run each on a 2-vCPU
+VM, CPython 3.11).  That still belongs in a nightly sweep, not a per-PR
+gate; ``benchmarks/perf/run.py --workload coll-192`` gates ww-coll at
+192 ranks instead.
 
 Usage::
 

@@ -81,5 +81,9 @@ class RatioCheck:
         of the paper's, and the same sign (slower than WW-List)."""
         if self.paper_factor <= 1.0:
             return self.measured_factor <= 1.0 * factor_tolerance
+        if self.measured_pct <= 0:
+            # The paper has WW-List ahead; a measured tie or lead for the
+            # other strategy inverts the claim, whatever the factor says.
+            return False
         ratio = self.measured_factor / self.paper_factor
         return (1.0 / factor_tolerance) <= ratio <= factor_tolerance

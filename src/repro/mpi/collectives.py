@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
+from ..sim import Join
 from .constants import collective_tag
 
 # Wire size of a zero-byte collective control message.
@@ -45,7 +46,7 @@ def barrier(comm):
         src = (rank - distance) % size
         send = comm.isend(dst, tag, CONTROL_BYTES)
         recv = comm.irecv(source=src, tag=tag)
-        yield send.done_event & recv.done_event
+        yield Join(comm.env, send.done_event, recv.done_event)
         distance *= 2
 
 
@@ -163,7 +164,7 @@ def alltoallv(comm, nbytes_to: Sequence[int], payloads_to: Optional[Sequence[Any
             payloads_to[dst] if payloads_to is not None else None,
         )
         recv = comm.irecv(source=src, tag=tag)
-        yield send.done_event & recv.done_event
+        yield Join(comm.env, send.done_event, recv.done_event)
         received[src] = recv.done_event.value
     return received
 

@@ -1,20 +1,22 @@
 """The simulated communicator: point-to-point operations per rank.
 
 Each rank gets its own :class:`RankComm` handle (as in real MPI, where every
-process holds its own view of the communicator).  Sends spawn small protocol
-processes that move bytes through the :class:`~repro.mpi.network.Network`;
-receives go through the rank's :class:`~repro.mpi.mailbox.Mailbox`.
+process holds its own view of the communicator).  Sends move bytes through
+the :class:`~repro.mpi.network.Network` — eager, OOB and loopback sends as
+small callback-driven state machines, rendezvous sends as a protocol
+process; receives go through the rank's :class:`~repro.mpi.mailbox.Mailbox`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..sim import Environment
+from ..sim import Environment, Event, Timeout
+from ..sim.events import URGENT
 from .constants import ANY_SOURCE, ANY_TAG, EAGER, RENDEZVOUS_RTS
 from .mailbox import Mailbox
 from .message import Envelope, Status
-from .network import Network
+from .network import LinkFailure, LinkFaults, Network
 from .request import RecvRequest, SendRequest
 
 # Size of a rendezvous RTS/CTS control message on the wire.
@@ -72,7 +74,7 @@ class Communicator:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
         return RankComm(self, rank)
 
-    # -- protocol processes --------------------------------------------------
+    # -- sends -----------------------------------------------------------------
     def _start_send(
         self, src: int, dst: int, tag: int, nbytes: int, payload: Any,
         oob: bool = False,
@@ -87,25 +89,30 @@ class Communicator:
         request = SendRequest(self.env, dst, tag, nbytes)
         self._send_seq += 1
         seq = self._send_seq
+        config = self.network.config
 
         if oob and src != dst:
+            # Out-of-band control channel (management network): pays the
+            # wire latency but never competes with bulk data for NIC
+            # bandwidth and is exempt from injected link faults.  Used for
+            # liveness traffic (heartbeats, rejoin notices, write acks) — a
+            # cluster's fault detector must not suffocate under the very
+            # congestion it watches.
             kind = "oob"
-            self.env.process(
-                self._oob(src, dst, tag, nbytes, payload, seq, request),
-                name=f"oob-{src}->{dst}",
+            _ShortSend(
+                self, src, dst, tag, nbytes, payload, seq, request,
+                kind, config.latency_s,
             )
         elif src == dst:
+            # The same memcpy-like cost Network.transfer charges loopback.
             kind = "loopback"
-            self.env.process(
-                self._loopback(src, dst, tag, nbytes, payload, seq, request),
-                name=f"loopback-{src}",
+            _ShortSend(
+                self, src, dst, tag, nbytes, payload, seq, request,
+                kind, config.cpu_overhead_s + config.serialization_time(nbytes) / 4,
             )
-        elif nbytes <= self.network.config.eager_threshold_B:
+        elif nbytes <= config.eager_threshold_B:
             kind = "eager"
-            self.env.process(
-                self._eager(src, dst, tag, nbytes, payload, seq, request),
-                name=f"eager-{src}->{dst}",
-            )
+            _EagerSend(self, src, dst, tag, nbytes, payload, seq, request)
         else:
             kind = "rendezvous"
             self.env.process(
@@ -120,50 +127,6 @@ class Communicator:
         if c.enabled:
             c.msg_sent(kind, nbytes)
         return request
-
-    def _loopback(self, src, dst, tag, nbytes, payload, seq, request):
-        yield from self.network.transfer(self.ranks[src], self.ranks[dst], nbytes)
-        request._complete()
-        self.mailboxes[dst].deliver(
-            Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload, seq=seq)
-        )
-        c = self.env.check
-        if c.enabled:
-            c.msg_delivered("loopback", nbytes)
-
-    def _oob(self, src, dst, tag, nbytes, payload, seq, request):
-        # Out-of-band control channel (management network): pays the wire
-        # latency but never competes with bulk data for NIC bandwidth and
-        # is exempt from injected link faults.  Used for liveness traffic
-        # (heartbeats, rejoin notices, write acks) — a cluster's fault
-        # detector must not suffocate under the very congestion it watches.
-        yield from self.network.wire_latency()
-        request._complete()
-        self.mailboxes[dst].deliver(
-            Envelope(
-                src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload,
-                kind=EAGER, seq=seq,
-            )
-        )
-        c = self.env.check
-        if c.enabled:
-            c.msg_delivered("oob", nbytes)
-
-    def _eager(self, src, dst, tag, nbytes, payload, seq, request):
-        # Sender serializes onto the wire; once the bytes leave the host the
-        # send is locally complete (buffered at the receiver).
-        yield from self.network.occupy_tx(self.ranks[src], nbytes)
-        request._complete()
-        yield from self.network.deliver(self.ranks[src], self.ranks[dst], nbytes)
-        self.mailboxes[dst].deliver(
-            Envelope(
-                src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload,
-                kind=EAGER, seq=seq,
-            )
-        )
-        c = self.env.check
-        if c.enabled:
-            c.msg_delivered("eager", nbytes)
 
     def _rendezvous(self, src, dst, tag, nbytes, payload, seq, request):
         cts = self.env.event()
@@ -190,6 +153,150 @@ class Communicator:
         yield from self.network.transfer(self.ranks[src], self.ranks[dst], nbytes)
         request._complete()
         data.succeed(payload)
+
+
+class _Send:
+    """A send whose protocol steps are callbacks, not a process.
+
+    Each step is a callback on the event a protocol process would have
+    yielded, and every ``schedule`` call happens in the order the process
+    made it: the same eids, hence the same ``(time, priority, eid)`` order
+    and bit-identical results.  The one event dropped is the process's
+    completion event, which had no callbacks.
+    """
+
+    __slots__ = ("comm", "env", "src", "dst", "tag", "nbytes", "payload", "seq", "request")
+
+    def __init__(
+        self, comm: Communicator, src: int, dst: int, tag: int, nbytes: int,
+        payload: Any, seq: int, request: SendRequest,
+    ) -> None:
+        self.comm = comm
+        self.env = env = comm.env
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.nbytes = nbytes
+        self.payload = payload
+        self.seq = seq
+        self.request = request
+        # The first step runs where a process's Initialize event would:
+        # URGENT, at the current time.
+        start = Event(env)
+        start._value = None
+        start.callbacks = [self._start]
+        env.schedule(start, URGENT)
+
+    def _start(self, _event: Event) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _land(self, kind: str) -> None:
+        """The payload is buffered at the receiver: hand it to matching."""
+        self.comm.mailboxes[self.dst].deliver(
+            Envelope(
+                src=self.src, dst=self.dst, tag=self.tag, nbytes=self.nbytes,
+                payload=self.payload, kind=EAGER, seq=self.seq,
+            )
+        )
+        c = self.env.check
+        if c.enabled:
+            c.msg_delivered(kind, self.nbytes)
+
+
+class _ShortSend(_Send):
+    """Loopback or OOB send: one fixed delay, then the send completes and
+    the message lands.  Neither touches a NIC or the loss model."""
+
+    __slots__ = ("kind", "delay")
+
+    def __init__(self, comm, src, dst, tag, nbytes, payload, seq, request, kind, delay):
+        self.kind = kind
+        self.delay = delay
+        super().__init__(comm, src, dst, tag, nbytes, payload, seq, request)
+
+    def _start(self, _event: Event) -> None:
+        Timeout(self.env, self.delay).callbacks.append(self._arrived)
+
+    def _arrived(self, _event: Event) -> None:
+        self.request._complete()
+        self._land(self.kind)
+
+
+class _EagerSend(_Send):
+    """Eager send: TX serialization, wire latency, RX serialization.
+
+    The sender is locally complete once its first TX ends (the payload is
+    buffered at the receiver).  With :class:`LinkFaults` installed a
+    crossing may be dropped: the sender backs off, pays a fresh TX and
+    crosses again, until the retry budget runs out.
+    """
+
+    __slots__ = ("network", "gsrc", "gdst", "tx_nic", "rx_nic", "hold_s", "slot", "attempt")
+
+    def __init__(self, comm, src, dst, tag, nbytes, payload, seq, request):
+        network = comm.network
+        self.network = network
+        self.gsrc = comm.ranks[src]
+        self.gdst = comm.ranks[dst]
+        self.tx_nic = network.nic(self.gsrc)
+        self.rx_nic = network.nic(self.gdst)
+        config = network.config
+        self.hold_s = config.serialization_time(nbytes) + config.cpu_overhead_s
+        self.slot = None
+        self.attempt = 0
+        super().__init__(comm, src, dst, tag, nbytes, payload, seq, request)
+
+    # -- TX: claim the sender's channel, serialize, release -------------------
+    def _start(self, _event: Event) -> None:
+        self.slot = slot = self.tx_nic.tx.request()
+        slot.callbacks.append(self._tx_granted)
+
+    def _tx_granted(self, _event: Event) -> None:
+        Timeout(self.env, self.hold_s).callbacks.append(self._tx_done)
+
+    def _tx_done(self, _event: Event) -> None:
+        nic = self.tx_nic
+        nic.tx.release(self.slot)
+        self.network.count_tx(nic, self.gsrc, self.nbytes)
+        if not self.attempt:
+            self.request._complete()
+        Timeout(self.env, self.network.config.latency_s).callbacks.append(self._crossed)
+
+    # -- the wire: delivered, or dropped and retransmitted --------------------
+    def _crossed(self, _event: Event) -> None:
+        network = self.network
+        spec = network._dropped_by(self.gsrc, self.gdst, self.nbytes)
+        if spec is None:
+            self.slot = slot = self.rx_nic.rx.request()
+            slot.callbacks.append(self._rx_granted)
+            return
+        self.attempt += 1
+        try:
+            network._check_retry_budget(
+                spec, self.attempt, self.gsrc, self.gdst, self.nbytes
+            )
+        except LinkFailure as failure:
+            # Fail an event rather than raise inside a callback: env.run()
+            # raises it at the position a dying process's event would hold.
+            Event(self.env).fail(failure)
+            return
+        Timeout(
+            self.env, LinkFaults.retransmit_delay(spec, self.attempt)
+        ).callbacks.append(self._retransmit)
+
+    def _retransmit(self, _event: Event) -> None:
+        self.network._count_retransmit(self.gsrc, self.gdst)
+        self._start(_event)
+
+    # -- RX: claim the receiver's channel, serialize, land --------------------
+    def _rx_granted(self, _event: Event) -> None:
+        Timeout(self.env, self.hold_s).callbacks.append(self._rx_done)
+
+    def _rx_done(self, _event: Event) -> None:
+        nic = self.rx_nic
+        nic.rx.release(self.slot)
+        self.network.count_rx(nic, self.gdst, self.nbytes)
+        self._land("eager")
 
 
 class RankComm:
@@ -238,6 +345,12 @@ class RankComm:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         """Post a nonblocking receive."""
+        if source != ANY_SOURCE and not 0 <= source < self._comm.size:
+            # A receive no rank can match would only fail much later, as a
+            # deadlock far from its cause.
+            raise ValueError(
+                f"source rank {source} out of range [0, {self._comm.size})"
+            )
         request = RecvRequest(self.env, source, tag, self.mailbox)
         self.mailbox.post(request)
         return request

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from .constants import EAGER
+from .constants import ANY_SOURCE, ANY_TAG, EAGER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Event
@@ -43,8 +43,6 @@ class Envelope:
 
     def matches(self, source: int, tag: int) -> bool:
         """Does this envelope satisfy a receive posted for (source, tag)?"""
-        from .constants import ANY_SOURCE, ANY_TAG
-
         source_ok = source == ANY_SOURCE or source == self.src
         tag_ok = tag == ANY_TAG or tag == self.tag
         return source_ok and tag_ok

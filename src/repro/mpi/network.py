@@ -398,6 +398,31 @@ class Network:
             raise ValueError(f"rank {rank} not in network of size {self.nranks}")
         return self.nics[rank // self.config.ranks_per_nic]
 
+    def count_tx(self, nic: Nic, src: int, nbytes: int) -> None:
+        """Account one message that left ``nic`` for rank ``src``: its
+        :class:`NicStats`, ``mpi.nic_tx_bytes`` and the checker's ledger."""
+        stats = nic.stats
+        stats.tx_messages += 1
+        stats.tx_bytes += nbytes
+        m = self.env.metrics
+        if m.enabled:
+            m.inc("mpi.nic_tx_bytes", float(nbytes), nic=nic.nic_id, rank=src)
+        c = self.env.check
+        if c.enabled:
+            c.nic_tx(nbytes)
+
+    def count_rx(self, nic: Nic, dst: int, nbytes: int) -> None:
+        """Account one message that landed at ``nic`` for rank ``dst``."""
+        stats = nic.stats
+        stats.rx_messages += 1
+        stats.rx_bytes += nbytes
+        m = self.env.metrics
+        if m.enabled:
+            m.inc("mpi.nic_rx_bytes", float(nbytes), nic=nic.nic_id, rank=dst)
+        c = self.env.check
+        if c.enabled:
+            c.nic_rx(nbytes)
+
     def occupy_tx(self, src: int, nbytes: int):
         """Process fragment: hold src's TX channel for the wire time."""
         nic = self.nic(src)
@@ -406,14 +431,7 @@ class Network:
             yield self.env.timeout(
                 self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
             )
-        nic.stats.tx_messages += 1
-        nic.stats.tx_bytes += nbytes
-        m = self.env.metrics
-        if m.enabled:
-            m.inc("mpi.nic_tx_bytes", float(nbytes), nic=nic.nic_id, rank=src)
-        c = self.env.check
-        if c.enabled:
-            c.nic_tx(nbytes)
+        self.count_tx(nic, src, nbytes)
 
     def occupy_rx(self, dst: int, nbytes: int):
         """Process fragment: hold dst's RX channel for the wire time."""
@@ -423,14 +441,7 @@ class Network:
             yield self.env.timeout(
                 self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
             )
-        nic.stats.rx_messages += 1
-        nic.stats.rx_bytes += nbytes
-        m = self.env.metrics
-        if m.enabled:
-            m.inc("mpi.nic_rx_bytes", float(nbytes), nic=nic.nic_id, rank=dst)
-        c = self.env.check
-        if c.enabled:
-            c.nic_rx(nbytes)
+        self.count_rx(nic, dst, nbytes)
 
     def wire_latency(self):
         """Process fragment: one-way propagation delay."""
@@ -525,25 +536,12 @@ class Network:
         while True:
             yield env.timeout(self.config.cpu_overhead_s)
             yield from flows.run_flow(src_nic.nic_id, dst_nic.nic_id, nbytes)
-            src_nic.stats.tx_messages += 1
-            src_nic.stats.tx_bytes += nbytes
-            if m.enabled:
-                m.inc("mpi.nic_tx_bytes", float(nbytes), nic=src_nic.nic_id, rank=src)
-            c = env.check
-            if c.enabled:
-                c.nic_tx(nbytes)
+            self.count_tx(src_nic, src, nbytes)
             yield from self.wire_latency()
             spec = self._dropped_by(src, dst, nbytes)
             if spec is None:
                 yield env.timeout(self.config.cpu_overhead_s)
-                dst_nic.stats.rx_messages += 1
-                dst_nic.stats.rx_bytes += nbytes
-                if m.enabled:
-                    m.inc(
-                        "mpi.nic_rx_bytes", float(nbytes), nic=dst_nic.nic_id, rank=dst
-                    )
-                if c.enabled:
-                    c.nic_rx(nbytes)
+                self.count_rx(dst_nic, dst, nbytes)
                 return
             attempt += 1
             self._check_retry_budget(spec, attempt, src, dst, nbytes)

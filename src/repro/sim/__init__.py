@@ -9,7 +9,7 @@ these primitives.
 from .calendar import CalendarQueue
 from .environment import Environment, SCHEDULERS
 from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
+from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Join, Timeout
 from .process import Process
 from .resources import (
     Container,
@@ -33,6 +33,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "Join",
     "PriorityRequest",
     "PriorityResource",
     "Process",

@@ -322,3 +322,40 @@ class AnyOf(Condition):
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env, Condition.any_event, events)
+
+
+class Join(Event):
+    """``first & second`` without the :class:`Condition` machinery.
+
+    Succeeds (value ``None``) when the second sub-event is processed — the
+    same schedule call, hence the same ``(time, priority, eid)`` position,
+    as ``AllOf`` — but builds no :class:`ConditionValue`: callers read the
+    sub-events' own values.  A failed sub-event is defused and fails the
+    join; a failed straggler after the join has fired is defused too.
+    """
+
+    __slots__ = ("_waiting",)
+
+    def __init__(self, env: "Environment", first: Event, second: Event) -> None:
+        if first.env is not env or second.env is not env:
+            raise ValueError("Events from different environments cannot be mixed")
+        super().__init__(env)
+        self._waiting = 2
+        for event in (first, second):
+            if event.callbacks is None:
+                self._check(event)
+            else:
+                event.callbacks.append(self._check)
+
+    def _desc(self) -> str:
+        return f"join({self._waiting} waiting)"
+
+    def _check(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            if self._value is _PENDING:
+                self.fail(event._value)
+        elif self._value is _PENDING:
+            self._waiting -= 1
+            if not self._waiting:
+                self.succeed()

@@ -139,6 +139,15 @@ class TestRatioCheck:
         way_off = RatioCheck("fig2", "mw", False, paper_pct=364, measured_pct=-50)
         assert not way_off.within(2.0)
 
+    def test_inverted_sign_deviates(self):
+        # Fig5@25.6x ww-coll sync: the paper has WW-List 58% ahead, the
+        # model has WW-Coll 27% ahead.  The factor ratio (0.46) sits inside
+        # a 2.5x band, but the sign is inverted.
+        check = RatioCheck("Fig5@25.6x", "ww-coll", True, paper_pct=58, measured_pct=-27)
+        assert not check.within(2.5)
+        tie = RatioCheck("Fig5@25.6x", "ww-coll", True, paper_pct=58, measured_pct=0)
+        assert not tie.within(2.5)
+
     def test_factors(self):
         check = RatioCheck("x", "mw", False, paper_pct=100, measured_pct=50)
         assert check.paper_factor == pytest.approx(2.0)

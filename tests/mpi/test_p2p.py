@@ -268,6 +268,21 @@ class TestValidation:
         world.spawn_all(main)
         world.run()
 
+    @pytest.mark.parametrize("source", [4, 99, -2])
+    def test_bad_source_rejected(self, source):
+        world = make_world(4)
+        comm = world.comm.view(0)
+        with pytest.raises(ValueError, match="source rank"):
+            comm.irecv(source=source, tag=1)
+        assert comm.mailbox.posted == []
+
+    def test_wildcard_and_in_range_sources_accepted(self):
+        world = make_world(4)
+        comm = world.comm.view(0)
+        comm.irecv(source=ANY_SOURCE, tag=1)
+        comm.irecv(source=3, tag=1)
+        assert len(comm.mailbox.posted) == 2
+
     def test_reserved_tag_rejected(self):
         world = make_world()
 

@@ -7,6 +7,7 @@ from repro.sim import (
     AnyOf,
     Environment,
     Event,
+    Join,
     SimulationError,
     Timeout,
 )
@@ -250,6 +251,116 @@ class TestConditions:
         with pytest.raises(ValueError):
             AllOf(env, [env.timeout(1), other.timeout(1)])
 
+
+
+class TestJoin:
+    """``Join`` is the collectives' lean ``a & b``: same firing position as
+    ``AllOf``, no ``ConditionValue``."""
+
+    @staticmethod
+    def _trace(make, order, same_time=False):
+        """Processing log of a two-event wait built by ``make``.
+
+        ``m*`` markers are scheduled around each sub-event's processing:
+        ``m2`` before the second sub-event is processed, ``m3`` from a
+        callback that runs after the waiter's, so the waiter's resume
+        position between them shows where the join was scheduled.
+        """
+        env = Environment()
+        events = (env.event(), env.event())
+        first, second = (events[i] for i in order)
+        log = []
+
+        def marker(name):
+            env.timeout(0).callbacks.append(lambda _e: log.append((name, env.now)))
+
+        def trigger():
+            yield env.timeout(1)
+            first.succeed("first")
+            marker("m1")
+            if not same_time:
+                yield env.timeout(1)
+            second.succeed("second")
+            marker("m2")
+            second.callbacks.append(lambda _e: marker("m3"))
+
+        def waiter():
+            value = yield make(env, *events)
+            log.append(("resumed", env.now, [e.value for e in events]))
+            return value
+
+        env.process(waiter())
+        env.process(trigger())
+        env.run()
+        return log
+
+    @pytest.mark.parametrize("same_time", [False, True])
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_fires_where_allof_fires(self, order, same_time):
+        join = self._trace(Join, order, same_time)
+        allof = self._trace(lambda env, a, b: AllOf(env, [a, b]), order, same_time)
+        assert join == allof
+        names = [entry[0] for entry in join]
+        assert names.index("m2") < names.index("resumed") < names.index("m3")
+
+    def test_value_is_none_and_builds_no_condition_value(self, env):
+        a, b = env.timeout(1, value="a"), env.timeout(2, value="b")
+
+        def proc():
+            got = yield Join(env, a, b)
+            return got, env.now
+
+        assert env.run(env.process(proc())) == (None, 2.0)
+        assert not hasattr(Join(env, a, b), "_build_value")
+
+    def test_processed_sub_events_fire_at_construction(self, env):
+        a, b = env.event(), env.event()
+        a.succeed()
+        b.succeed()
+        env.run()
+        join = Join(env, a, b)
+        assert join.triggered and join.ok
+
+    def test_failed_sub_event_fails_the_join_and_is_defused(self, env):
+        bad = env.event()
+        slow = env.timeout(5)
+
+        def failer():
+            yield env.timeout(1)
+            bad.fail(RuntimeError("inner"))
+
+        def waiter():
+            with pytest.raises(RuntimeError, match="inner"):
+                yield Join(env, bad, slow)
+            return env.now
+
+        env.process(failer())
+        assert env.run(env.process(waiter())) == 1.0
+        assert bad._defused
+        env.run()  # the surviving sub-event still processes cleanly
+
+    def test_failed_straggler_after_join_fired_is_defused(self, env):
+        first, straggler = env.event(), env.event()
+
+        def trigger():
+            yield env.timeout(1)
+            first.fail(RuntimeError("first"))
+            yield env.timeout(1)
+            straggler.fail(ValueError("straggler"))
+
+        def waiter():
+            with pytest.raises(RuntimeError, match="first"):
+                yield Join(env, first, straggler)
+            yield env.timeout(5)
+            return "survived"
+
+        env.process(trigger())
+        assert env.run(env.process(waiter())) == "survived"
+        assert straggler._defused
+
+    def test_mixed_environment_rejected(self, env):
+        with pytest.raises(ValueError):
+            Join(env, env.timeout(1), Environment().timeout(1))
 
 class TestRunSemantics:
     def test_run_until_time(self, env):
