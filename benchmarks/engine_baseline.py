@@ -49,16 +49,12 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def bench_event_loop(nevents: int = 20_000, scheduler: str = "heap") -> float:
-    """Chained-timeout throughput (events/s) — the kernel's hottest path.
-
-    One event per timestamp, so this is the calendar queue's *worst* case
-    (every batch is a singleton) and the heap's best; it stays pinned to
-    the default heap scheduler as the continuity metric across PRs.
-    """
+def bench_event_loop(nevents: int = 20_000) -> float:
+    """Chained-timeout throughput (events/s) — the kernel's hottest path,
+    one event per timestamp."""
 
     def run_chain():
-        env = Environment(scheduler=scheduler)
+        env = Environment()
 
         def chain(env):
             for _ in range(nevents):
@@ -70,17 +66,14 @@ def bench_event_loop(nevents: int = 20_000, scheduler: str = "heap") -> float:
     return nevents / _best_of(run_chain)
 
 
-def bench_sync_phases(
-    nprocs: int = 64, phases: int = 60, scheduler: str = "heap"
-) -> float:
+def bench_sync_phases(nprocs: int = 64, phases: int = 60) -> float:
     """Synchronized-phase throughput (events/s): many processes waking at
     identical timestamps with zero-delay cascades between wakes — the
-    event-population shape of a real S3aSim run at scale, and the case the
-    calendar queue's batched dequeue targets."""
+    event-population shape of a real S3aSim run at scale."""
     nevents = nprocs * phases * 5
 
     def run_phases():
-        env = Environment(scheduler=scheduler)
+        env = Environment()
 
         def worker(env):
             for _ in range(phases):
@@ -156,16 +149,8 @@ def measure() -> dict:
             "value": bench_event_loop(),
             "higher_is_better": True,
         },
-        "event_loop_calendar_events_per_s": {
-            "value": bench_event_loop(scheduler="calendar"),
-            "higher_is_better": True,
-        },
         "sync_phases_events_per_s": {
             "value": bench_sync_phases(),
-            "higher_is_better": True,
-        },
-        "sync_phases_calendar_events_per_s": {
-            "value": bench_sync_phases(scheduler="calendar"),
             "higher_is_better": True,
         },
         "store_ops_per_s": {"value": bench_store(), "higher_is_better": True},

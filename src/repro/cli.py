@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from .analysis import (
@@ -135,23 +134,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "zero-cost in simulated time, aborts on the first violation",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=["heap", "calendar"],
-        default="heap",
-        help="event-queue backend: heap (default) or calendar (O(1) "
-        "calendar queue; bit-identical results, faster at scale)",
-    )
-    parser.add_argument(
-        "--fluid-threshold-kib",
-        type=float,
-        default=None,
-        metavar="KIB",
-        help="model transfers of at least this many KiB as fluid flows "
-        "with max-min fair bandwidth sharing instead of per-message "
-        "serialization holds (default: off, every transfer on the "
-        "packet path)",
-    )
-    parser.add_argument(
         "--arrival",
         choices=list(ARRIVAL_PROCESSES),
         default=None,
@@ -226,6 +208,8 @@ def _config_from(args: argparse.Namespace) -> SimulationConfig:
         raise SystemExit(
             "--jobs must be >= 1 (1 = run inline, N = process pool of N)"
         )
+    if getattr(args, "masters", 1) < 1:
+        raise SystemExit("--masters must be >= 1 (1 = one master, unsharded)")
     preset = get_preset(args.cluster)
     pvfs_overrides = {}
     if getattr(args, "disk_sched", None) is not None:
@@ -240,26 +224,22 @@ def _config_from(args: argparse.Namespace) -> SimulationConfig:
         pvfs_overrides["replicas"] = args.replicas
     if pvfs_overrides:
         preset = preset.with_pvfs(**pvfs_overrides)
-    network = preset.network
-    if getattr(args, "fluid_threshold_kib", None) is not None:
-        if args.fluid_threshold_kib <= 0:
-            raise SystemExit("--fluid-threshold-kib must be positive")
-        network = replace(
-            network, fluid_threshold_B=int(args.fluid_threshold_kib * 1024)
-        )
+    try:
+        compute = ComputeModel(speed=args.compute_speed)
+    except ValueError as exc:
+        raise SystemExit(f"--compute-speed: {exc}")
     kwargs = dict(
         nprocs=args.nprocs,
         strategy=args.strategy,
         query_sync=args.query_sync,
         nqueries=args.nqueries,
         nfragments=args.nfragments,
-        compute=ComputeModel(speed=args.compute_speed),
+        compute=compute,
         write_every=args.write_every,
-        network=network,
+        network=preset.network,
         pvfs=preset.pvfs,
         store_data=args.store_data,
         check=getattr(args, "check", False),
-        scheduler=getattr(args, "scheduler", "heap"),
     )
     if args.seed is not None:
         kwargs["seed"] = args.seed
@@ -294,12 +274,7 @@ def _config_from(args: argparse.Namespace) -> SimulationConfig:
             loaded = load_workload_kwargs(fh)
         if args.seed is not None:
             loaded["seed"] = args.seed
-        loaded["compute"] = ComputeModel(
-            startup_s=loaded["compute"].startup_s,
-            rate_s_per_byte=loaded["compute"].rate_s_per_byte,
-            speed=args.compute_speed,
-            startup_scales=loaded["compute"].startup_scales,
-        )
+        loaded["compute"] = loaded["compute"].with_speed(args.compute_speed)
         kwargs.update(loaded)
     if getattr(args, "fault_plan", None):
         kwargs["fault_plan"] = load_fault_plan(args.fault_plan)

@@ -18,7 +18,6 @@ from ..mpiio.file import MPIIOFile
 from ..obs.metrics import MetricsRegistry
 from ..pvfs.filesystem import FileSystem, PVFSFile
 from ..serve.arrivals import arrival_process
-from ..sim.environment import Environment
 from .config import SimulationConfig, Workload
 from .master import Master
 from .report import FileStats, RunResult
@@ -35,7 +34,6 @@ class S3aSim:
         self.world = MpiWorld(
             nranks=config.nprocs,
             network=config.network,
-            env=Environment(scheduler=config.scheduler),
         )
         if config.collect_metrics:
             # Attach before the FileSystem exists: IOServer binds its
@@ -240,16 +238,6 @@ class S3aSim:
                 metrics_registry.inc("serve.shed", float(s.shed))
                 metrics_registry.inc("serve.completed", float(s.completed))
             metrics_registry.set_gauge("run.nprocs", float(cfg.nprocs))
-            env = self.world.env
-            if env._cal is not None:
-                # Kernel counters are plain ints incremented in the hot
-                # loop; exported once here instead of per event.
-                metrics_registry.set_gauge(
-                    "sim.calendar_batches", float(env.batches)
-                )
-                metrics_registry.set_gauge(
-                    "sim.calendar_resizes", float(env._cal.resizes)
-                )
         metrics = metrics_registry.snapshot()
         checker = self.world.env.check
         if checker.enabled:

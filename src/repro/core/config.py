@@ -19,7 +19,6 @@ from ..mpi.network import NetworkConfig
 from ..pvfs.filesystem import PVFSConfig
 from ..serve.arrivals import ArrivalConfig
 from ..shard.state import ShardConfig
-from ..sim.environment import SCHEDULERS
 from ..sim.rng import RandomStreams
 from ..workload.compute import ComputeModel, MergeModel
 from ..workload.database import FragmentedDatabase
@@ -92,14 +91,6 @@ class SimulationConfig:
     #: runs bit-identical; enabling it audits conservation laws in zero
     #: virtual time and raises ``InvariantViolation`` on the first breach.
     check: bool = False
-
-    #: Event-queue backend for the simulation kernel: ``"heap"`` (the
-    #: seed's binary heap) or ``"calendar"`` (calendar queue with O(1)
-    #: expected schedule/pop and same-timestamp batching).  Both produce
-    #: bit-identical event orders — the tie-break total order
-    #: ``(time, priority, eid)`` is preserved exactly — so this is purely
-    #: a performance knob; "heap" stays the default for continuity.
-    scheduler: str = "heap"
 
     #: Open-loop service mode: queries stream in from a seeded arrival
     #: process instead of being pre-loaded (``repro.serve``).  ``None``
@@ -189,10 +180,6 @@ class SimulationConfig:
                     f"{2 * self.shard.nshards} processes (1 master + "
                     ">= 1 worker each)"
                 )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
-            )
         for crash in self.fault_plan.worker_crashes:
             if not 1 <= crash.rank < self.nprocs:
                 raise ValueError(

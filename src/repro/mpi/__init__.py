@@ -22,7 +22,7 @@ from .compat import CompatComm, CompatRequest, File as CompatFile
 from .constants import ANY_SOURCE, ANY_TAG, collective_tag
 from .mailbox import Mailbox
 from .message import Envelope, Status
-from .network import FlowScheduler, Network, NetworkConfig, Nic, KIB, MIB
+from .network import Network, NetworkConfig, Nic, KIB, MIB
 from .request import RecvRequest, Request, SendRequest
 from .world import MpiWorld
 
@@ -34,7 +34,6 @@ __all__ = [
     "CompatFile",
     "CompatRequest",
     "Envelope",
-    "FlowScheduler",
     "KIB",
     "MIB",
     "Mailbox",

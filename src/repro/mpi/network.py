@@ -19,18 +19,13 @@ Defaults correspond to the Feynman cluster's Myrinet-2000 interconnect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from ..sim import Environment, Resource, SimulationError
 
 KIB = 1024
 MIB = 1024 * 1024
-
-#: Residual bytes below which a fluid flow counts as finished (absorbs
-#: float rounding in ``remaining -= rate * dt`` accounting).
-_FLOW_EPS_B = 1e-6
 
 
 class LinkFailure(SimulationError):
@@ -69,15 +64,6 @@ class NetworkConfig:
     #: of compute nodes had dual CPUs, we ran two compute processes per
     #: node"); 1 gives every rank its own NIC.
     ranks_per_nic: int = 1
-    #: Transfers of at least this many bytes use the fluid-flow model
-    #: (``None`` — the default and the seed behaviour — keeps every
-    #: transfer on the packet path).  A fluid transfer does not hold its
-    #: NIC/fabric ``Resource`` slots for the serialization time; it
-    #: registers a *flow*, and the max-min fair share of link bandwidth
-    #: across all concurrent flows is recomputed only when a flow starts
-    #: or finishes — one event per rate change instead of per-message
-    #: serialization holds.
-    fluid_threshold_B: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.latency_s < 0:
@@ -90,8 +76,6 @@ class NetworkConfig:
             raise ValueError("fabric_capacity must be positive or None")
         if self.ranks_per_nic <= 0:
             raise ValueError("ranks_per_nic must be positive")
-        if self.fluid_threshold_B is not None and self.fluid_threshold_B <= 0:
-            raise ValueError("fluid_threshold_B must be positive or None")
 
     @classmethod
     def myrinet2000(cls) -> "NetworkConfig":
@@ -193,174 +177,6 @@ class Nic:
         return f"<Nic id={self.nic_id} tx_q={len(self.tx.queue)} rx_q={len(self.rx.queue)}>"
 
 
-class _Flow:
-    """One in-flight fluid transfer between two NICs."""
-
-    __slots__ = ("src_nic", "dst_nic", "remaining", "rate", "done", "seq")
-
-    def __init__(self, src_nic: int, dst_nic: int, nbytes: float, done, seq: int) -> None:
-        self.src_nic = src_nic
-        self.dst_nic = dst_nic
-        self.remaining = nbytes
-        self.rate = 0.0
-        self.done = done
-        self.seq = seq
-
-    def __repr__(self) -> str:
-        return (
-            f"<_Flow #{self.seq} nic{self.src_nic}->nic{self.dst_nic} "
-            f"remaining={self.remaining:.0f}B rate={self.rate:.3g}B/s>"
-        )
-
-
-class FlowScheduler:
-    """Fluid-flow bandwidth sharing for bulk transfers.
-
-    Packet-mode transfers hold a NIC TX slot, then an RX slot, each for
-    the full serialization time — thousands of strip-sized messages in a
-    large WW-strategy result write each cost a queue wait, a grant, a
-    timeout, and a release.  The fluid model replaces all of that with a
-    *flow*: a (src NIC, dst NIC, bytes) triple whose transfer rate is the
-    max-min fair share of the links it crosses — the source NIC's TX
-    channel, the destination NIC's RX channel, and (when the fabric is
-    bounded) an aggregate fabric pipe of ``fabric_capacity ×
-    bandwidth_Bps``.  Rates are recomputed only when a flow starts or
-    finishes; between recomputations every flow progresses linearly, so
-    the scheduler needs exactly one wake-up event per rate change.
-
-    Determinism: flows are identified by an arrival sequence number, all
-    iteration happens in arrival order, and the max-min bottleneck search
-    breaks ties on sorted link keys — no dict-order or wall-clock
-    dependence anywhere.
-    """
-
-    def __init__(self, env: Environment, config: NetworkConfig) -> None:
-        self.env = env
-        self.config = config
-        self._active: List[_Flow] = []
-        self._seq = count()
-        self._last_update = env.now
-        self._wake_version = 0
-        self._fabric_Bps: Optional[float] = (
-            config.fabric_capacity * config.bandwidth_Bps
-            if config.fabric_capacity is not None
-            else None
-        )
-        #: Observability: rate recomputations and completed flows.
-        self.rate_changes = 0
-        self.flows_started = 0
-        self.flows_finished = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"<FlowScheduler active={len(self._active)} "
-            f"rate_changes={self.rate_changes}>"
-        )
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._active)
-
-    # -- the transfer primitive -------------------------------------------
-    def run_flow(self, src_nic: int, dst_nic: int, nbytes: int):
-        """Process fragment: move ``nbytes`` as a fluid flow; returns when
-        the last byte has drained at the fair-share rate."""
-        if nbytes <= 0:
-            return
-        done = self.env.event()
-        flow = _Flow(src_nic, dst_nic, float(nbytes), done, next(self._seq))
-        self._advance()
-        self._active.append(flow)
-        self.flows_started += 1
-        self._recompute()
-        yield done
-
-    # -- internals ---------------------------------------------------------
-    def _advance(self) -> None:
-        """Charge the time since the last rate change against every flow."""
-        now = self.env.now
-        dt = now - self._last_update
-        if dt > 0.0:
-            for flow in self._active:
-                flow.remaining -= flow.rate * dt
-                if flow.remaining < 0.0:
-                    flow.remaining = 0.0
-        self._last_update = now
-
-    def _recompute(self) -> None:
-        """Max-min fair rates, then a wake-up at the earliest completion.
-
-        Progressive filling: repeatedly find the bottleneck link (the one
-        whose equal split among its still-unassigned flows is smallest),
-        freeze its flows at that share, subtract, repeat.
-        """
-        self.rate_changes += 1
-        m = self.env.metrics
-        if m.enabled:
-            m.inc("mpi.flow_rate_changes")
-        flows = self._active
-        self._wake_version += 1
-        if not flows:
-            return
-        bandwidth = self.config.bandwidth_Bps
-        cap: Dict[Tuple, float] = {}
-        users: Dict[Tuple, List[_Flow]] = {}
-        for flow in flows:
-            for link in (("tx", flow.src_nic), ("rx", flow.dst_nic)):
-                if link not in cap:
-                    cap[link] = bandwidth
-                    users[link] = []
-                users[link].append(flow)
-        if self._fabric_Bps is not None:
-            cap[("fab", -1)] = self._fabric_Bps
-            users[("fab", -1)] = list(flows)
-        unassigned = {flow.seq for flow in flows}
-        while unassigned:
-            bottleneck = None
-            share = 0.0
-            for link in sorted(cap):
-                n = sum(1 for f in users[link] if f.seq in unassigned)
-                if not n:
-                    continue
-                s = cap[link] / n
-                if bottleneck is None or s < share:
-                    bottleneck = link
-                    share = s
-            if bottleneck is None:  # pragma: no cover - defensive
-                break
-            for flow in users[bottleneck]:
-                if flow.seq not in unassigned:
-                    continue
-                flow.rate = share
-                unassigned.discard(flow.seq)
-                for link in (("tx", flow.src_nic), ("rx", flow.dst_nic)):
-                    if link != bottleneck:
-                        cap[link] -= share
-                if self._fabric_Bps is not None and bottleneck != ("fab", -1):
-                    cap[("fab", -1)] -= share
-        # One wake-up at the earliest completion; stale wake-ups from
-        # earlier recomputations are invalidated by the version bump.
-        dt = min(f.remaining / f.rate for f in flows)
-        self.env.process(
-            self._waker(dt, self._wake_version), name="flow-wake"
-        )
-
-    def _waker(self, dt: float, version: int):
-        yield self.env.timeout(dt)
-        if version != self._wake_version:
-            return
-        self._advance()
-        finished = [f for f in self._active if f.remaining <= _FLOW_EPS_B]
-        if not finished:  # pragma: no cover - defensive
-            self._recompute()
-            return
-        self._active = [f for f in self._active if f.remaining > _FLOW_EPS_B]
-        self.flows_finished += len(finished)
-        self._recompute()
-        for flow in finished:
-            flow.done.succeed()
-
-
 class Network:
     """Owns per-rank NICs and provides the transfer primitives.
 
@@ -380,11 +196,6 @@ class Network:
         self.fabric: Optional[Resource] = (
             Resource(env, capacity=config.fabric_capacity)
             if config.fabric_capacity is not None
-            else None
-        )
-        self.flows: Optional[FlowScheduler] = (
-            FlowScheduler(env, config)
-            if config.fluid_threshold_B is not None
             else None
         )
         self.faults: Optional[LinkFaults] = None
@@ -507,47 +318,6 @@ class Network:
             self._count_retransmit(src, dst)
             yield from self.occupy_tx(src, nbytes)
 
-    def _fluid_transfer(self, src: int, dst: int, nbytes: int):
-        """Process fragment: bulk transfer via the fluid-flow model.
-
-        The flow subsumes TX serialization, RX serialization, and fabric
-        sharing (all three appear as links in the max-min computation), so
-        none of the per-channel ``Resource`` slots are held.  Per-message
-        CPU overhead is still charged on both ends, and the loss model is
-        evaluated once per attempt when the flow's last byte crosses the
-        wire — a dropped bulk message re-enters the same exponential-
-        backoff retransmission path as the packet model, re-sending the
-        whole message (and paying a fresh flow) per retry.
-
-        Checker ledger parity with the packet path: TX bytes are counted
-        at the end of every attempt, wire drops when an attempt is lost,
-        RX bytes only on delivery — so ``rx + dropped <= tx`` holds under
-        fluid accounting too.
-        """
-        env = self.env
-        flows = self.flows
-        src_nic = self.nic(src)
-        dst_nic = self.nic(dst)
-        m = env.metrics
-        if m.enabled:
-            m.inc("mpi.fluid_flows")
-            m.inc("mpi.fluid_bytes", float(nbytes))
-        attempt = 0
-        while True:
-            yield env.timeout(self.config.cpu_overhead_s)
-            yield from flows.run_flow(src_nic.nic_id, dst_nic.nic_id, nbytes)
-            self.count_tx(src_nic, src, nbytes)
-            yield from self.wire_latency()
-            spec = self._dropped_by(src, dst, nbytes)
-            if spec is None:
-                yield env.timeout(self.config.cpu_overhead_s)
-                self.count_rx(dst_nic, dst, nbytes)
-                return
-            attempt += 1
-            self._check_retry_budget(spec, attempt, src, dst, nbytes)
-            yield env.timeout(LinkFaults.retransmit_delay(spec, attempt))
-            self._count_retransmit(src, dst)
-
     def transfer(self, src: int, dst: int, nbytes: int):
         """Process fragment: full point-to-point transfer src → dst.
 
@@ -566,10 +336,6 @@ class Network:
             yield self.env.timeout(
                 self.config.cpu_overhead_s + self.config.serialization_time(nbytes) / 4
             )
-            return
-        flows = self.flows
-        if flows is not None and nbytes >= self.config.fluid_threshold_B:
-            yield from self._fluid_transfer(src, dst, nbytes)
             return
         if self.fabric is None:
             yield from self.occupy_tx(src, nbytes)

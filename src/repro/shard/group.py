@@ -38,7 +38,6 @@ from ..mpiio.file import MPIIOFile
 from ..obs.metrics import MetricsRegistry
 from ..pvfs.filesystem import FileSystem, PVFSFile
 from ..serve.arrivals import arrival_process
-from ..sim.environment import Environment
 from .state import ShardConfig, partition_ranks, place
 
 
@@ -172,7 +171,6 @@ class MasterGroup:
         self.world = MpiWorld(
             nranks=config.nprocs,
             network=config.network,
-            env=Environment(scheduler=config.scheduler),
         )
         if config.collect_metrics:
             self.world.env.metrics = MetricsRegistry(

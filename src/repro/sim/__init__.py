@@ -6,8 +6,7 @@ above this package (MPI, PVFS2, MPI-IO, S3aSim) is expressed in terms of
 these primitives.
 """
 
-from .calendar import CalendarQueue
-from .environment import Environment, SCHEDULERS
+from .environment import Environment
 from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Join, Timeout
 from .process import Process
@@ -24,8 +23,6 @@ from .rng import RandomStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
-    "SCHEDULERS",
     "Condition",
     "ConditionValue",
     "Container",

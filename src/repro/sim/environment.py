@@ -8,74 +8,30 @@ from typing import Any, Iterable, List, Optional, Tuple, Union
 
 from ..check.invariants import NULL_CHECKER
 from ..obs.metrics import NULL_METRICS
-from .calendar import CalendarQueue
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, NORMAL, Timeout
 from .process import Process, ProcessGenerator
 
 _INF = float("inf")
 
-#: Valid ``Environment(scheduler=...)`` names.
-SCHEDULERS = ("heap", "calendar")
-
 
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    Time is a float in *seconds* throughout this project.  Events scheduled
-    at the same timestamp are ordered by priority, then FIFO by insertion.
-
-    Two scheduler backends implement that contract:
-
-    * ``"heap"`` (default) — a binary heap, the seed behaviour, O(log n)
-      per operation.
-    * ``"calendar"`` — a :class:`~repro.sim.calendar.CalendarQueue` with
-      O(1) expected operations plus a same-timestamp *ready batch*: all
-      events sharing the current timestamp drain through a plain list, so
-      zero-delay cascades (succeed/grant/mailbox traffic, the bulk of a
-      real run) never touch the queue structure at all.
-
-    Both backends use the identical ``(time, priority, eid)`` tie-break,
-    so they process events in exactly the same order; the choice affects
-    wall-clock speed only, never simulated results.
+    Time is a float in *seconds* throughout this project.  The event queue
+    is a single binary heap (``heapq``) of ``(time, priority, eid, event)``
+    entries: events run in time order, same-time events by priority
+    (URGENT before NORMAL), then FIFO by the monotonically increasing
+    insertion id ``eid``.  That key is total, so a run's event order — and
+    every simulated result — depends only on what was scheduled, never on
+    the heap's internal layout.
     """
 
-    def __init__(self, initial_time: float = 0.0, scheduler: str = "heap") -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
-        if scheduler == "heap":
-            self._cal: Optional[CalendarQueue] = None
-        elif scheduler == "calendar":
-            self._cal = CalendarQueue()
-        else:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r} (choose from {SCHEDULERS})"
-            )
-        self.scheduler = scheduler
-        # Calendar mode only.  Three same-timestamp staging areas, all
-        # holding entries with time == ``_batch_time`` (the calendar holds
-        # only strictly later ones):
-        #
-        # * ``_ready`` — the batch being drained, sorted DESCENDING so the
-        #   next event is a C-speed ``list.pop()`` off the end;
-        # * ``_pending`` — NORMAL entries scheduled *during* the drain
-        #   (zero-delay cascades).  Their eids all exceed every eid in
-        #   ``_ready``, so they run after it: promoted wholesale (one
-        #   ``reverse()``) when ``_ready`` empties — O(1) amortized per
-        #   event, no per-entry ordering work;
-        # * ``_urgent`` — URGENT entries (process inits, interrupts).
-        #   ``(t, URGENT, eid)`` sorts before every NORMAL entry at t, so
-        #   they drain first, FIFO among themselves.
-        self._ready: List[tuple] = []
-        self._pending: List[tuple] = []
-        self._urgent: List[tuple] = []
-        self._batch_time = self._now
-        #: Calendar mode: count of batches pulled (one clock advance each);
-        #: published as ``sim.calendar_batches`` at end of run — a plain
-        #: int increment keeps the metrics hook out of the hot loop.
-        self.batches = 0
         # Observability hook: layers emit counters/histograms here.  The
         # null registry makes every metric call a no-op; the kernel itself
         # never reads it, so metrics cannot perturb event ordering.
@@ -85,10 +41,7 @@ class Environment:
         self.check = NULL_CHECKER
 
     def __repr__(self) -> str:
-        return (
-            f"<Environment now={self._now:.9g} queued={self.queue_size} "
-            f"scheduler={self.scheduler}>"
-        )
+        return f"<Environment now={self._now:.9g} queued={self.queue_size}>"
 
     # -- clock & introspection ----------------------------------------------
     @property
@@ -103,14 +56,7 @@ class Environment:
 
     @property
     def queue_size(self) -> int:
-        if self._cal is None:
-            return len(self._queue)
-        return (
-            len(self._cal)
-            + len(self._ready)
-            + len(self._pending)
-            + len(self._urgent)
-        )
+        return len(self._queue)
 
     # -- factories -----------------------------------------------------------
     def event(self) -> Event:
@@ -150,83 +96,18 @@ class Environment:
             t = self._now + delay
         else:
             t = self._now
-        if self._cal is None:
-            heappush(self._queue, (t, priority, next(self._eid), event))
-        else:
-            self._insert(t, priority, event)
-
-    def _insert(self, t: float, priority: int, event: Event) -> None:
-        """Route an entry to the active scheduler backend."""
-        if self._cal is None:
-            heappush(self._queue, (t, priority, next(self._eid), event))
-        elif t == self._batch_time:
-            # Same timestamp as the batch being drained: NORMAL entries
-            # (monotonically increasing eid) append to the pending list in
-            # O(1); URGENT ones (rare) join their own FIFO lane, drained
-            # ahead of every NORMAL entry.
-            if priority == NORMAL:
-                self._pending.append((t, priority, next(self._eid), event))
-            else:
-                self._urgent.append((t, priority, next(self._eid), event))
-        else:
-            self._cal.push((t, priority, next(self._eid), event))
+        heappush(self._queue, (t, priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        if self._cal is None:
-            return self._queue[0][0] if self._queue else _INF
-        if self._urgent or self._ready or self._pending:
-            return self._batch_time
-        return self._cal.peek_time()
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
         """Process the next event: advance the clock, run callbacks."""
-        if self._cal is None:
-            queue = self._queue
-            if not queue:
-                raise EmptySchedule()
-            self._now, _, _, event = heappop(queue)
-        else:
-            entry = None
-            urgent = self._urgent
-            if urgent:
-                entry = urgent.pop(0)
-            else:
-                ready = self._ready
-                if not ready:
-                    pending = self._pending
-                    if pending:
-                        # Same-time cascade continues: promote wholesale.
-                        pending.reverse()
-                        self._ready = ready = pending
-                        self._pending = []
-                    else:
-                        batch = self._cal.pop_batch()
-                        if not batch:
-                            raise EmptySchedule()
-                        self.batches += 1
-                        self._batch_time = batch[0][0]
-                        if len(batch) == 1:
-                            # Singleton batch (isolated timestamp): run it
-                            # directly, skip the ready-list bookkeeping.
-                            entry = batch[0]
-                        else:
-                            if batch[0][1] != NORMAL:
-                                # Rare: URGENT entries scheduled with a
-                                # real delay.  The sorted batch's URGENT
-                                # prefix moves to the urgent lane.
-                                k = 1
-                                while k < len(batch) and batch[k][1] != NORMAL:
-                                    k += 1
-                                urgent.extend(batch[:k])
-                                del batch[:k]
-                                entry = urgent.pop(0)
-                            batch.reverse()
-                            self._ready = ready = batch
-                if entry is None:
-                    entry = ready.pop()
-            self._now = entry[0]
-            event = entry[3]
+        queue = self._queue
+        if not queue:
+            raise EmptySchedule()
+        self._now, _, _, event = heappop(queue)
 
         callbacks = event.callbacks
         if callbacks is None:  # pragma: no cover - defensive
@@ -271,7 +152,7 @@ class Environment:
                 stopper._ok = True
                 stopper._value = None
                 stopper.callbacks = [_stop_simulation]
-                self._insert(at, NORMAL, stopper)
+                heappush(self._queue, (at, NORMAL, next(self._eid), stopper))
 
         step = self.step
         try:

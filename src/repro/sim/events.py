@@ -146,19 +146,7 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        cal = env._cal
-        if cal is None:
-            heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
-        else:
-            # Calendar scheduler: entries at the current batch timestamp
-            # join the pending list (O(1), in eid order); later ones go to
-            # the calendar.  Compare times, not ``delay == 0`` — a delay
-            # below one ulp of ``now`` lands on the current timestamp.
-            t = env._now + delay
-            if t == env._batch_time:
-                env._pending.append((t, NORMAL, next(env._eid), self))
-            else:
-                cal.push((t, NORMAL, next(env._eid), self))
+        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
 
     def _desc(self) -> str:
         return f"delay={self.delay}"

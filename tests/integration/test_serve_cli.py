@@ -112,3 +112,13 @@ class TestGuards:
     def test_serve_rejects_write_every(self):
         with pytest.raises(SystemExit, match="write_every"):
             main(["serve", *SMALL, "--write-every", "2"])
+
+    @pytest.mark.parametrize("masters", ["0", "-1"])
+    def test_masters_below_one_rejected(self, masters):
+        with pytest.raises(SystemExit, match="--masters must be >= 1"):
+            main(["serve", *SMALL, "--masters", masters])
+
+    @pytest.mark.parametrize("speed", ["0", "-2"])
+    def test_non_positive_compute_speed_rejected(self, speed):
+        with pytest.raises(SystemExit, match="--compute-speed: speed must be positive"):
+            main(["run", *SMALL, "--compute-speed", speed])
