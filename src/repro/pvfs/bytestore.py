@@ -17,7 +17,7 @@ Extent = Tuple[int, int]  # (start, end) half-open
 def merge_extents(extents: List[Extent]) -> List[Extent]:
     """Coalesce [start, end) extents: sorted, disjoint, adjacency fused.
 
-    Shared by the replica missed-extent ledger and by tests; empty and
+    A public utility (the live sets use ``pvfs/extents.py``); empty and
     inverted inputs are dropped rather than raising (callers feed raw
     region lists).
     """

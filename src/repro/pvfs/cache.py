@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..sim import Resource
+from .extents import add, split
 
 if TYPE_CHECKING:  # pragma: no cover
     from .server import IOServer
@@ -67,7 +68,8 @@ class WriteBackCache:
         self.watermark_B = watermark * capacity_B
         self.idle_flush_s = idle_flush_s
         self.mem_Bps = mem_Bps
-        #: Sorted, disjoint, non-adjacent dirty extents as [start, end).
+        #: Dirty extents as sorted, disjoint, non-adjacent [start, end)
+        #: runs (``pvfs/extents.py``), updated in place.
         self.dirty_runs: List[Tuple[int, int]] = []
         self.dirty_bytes = 0
         # One flush at a time; sync waits on an in-flight background flush
@@ -105,7 +107,7 @@ class WriteBackCache:
         yield self.env.timeout(self.memory_time(len(live), nbytes))
         dirty_before = self.dirty_bytes
         for offset, length in live:
-            self._insert(offset, offset + length)
+            self.dirty_bytes += add(self.dirty_runs, offset, offset + length)
         self.absorbed_bytes += nbytes
         self._last_write = self.env.now
         server = self.server
@@ -129,20 +131,6 @@ class WriteBackCache:
                 self._watch_idle(), name=f"flush-idle-s{server.server_id}"
             )
 
-    def _insert(self, start: int, end: int) -> None:
-        """Merge [start, end) into the dirty runs (adjacency fuses)."""
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in self.dirty_runs:
-            if hi < start or lo > end:  # disjoint and non-adjacent
-                merged.append((lo, hi))
-            else:  # overlaps or touches — fuse
-                start = min(start, lo)
-                end = max(end, hi)
-        merged.append((start, end))
-        merged.sort()
-        self.dirty_runs = merged
-        self.dirty_bytes = sum(hi - lo for lo, hi in merged)
-
     # -- read path ----------------------------------------------------------
     def read_split(self, regions: Sequence[Tuple[int, int]]):
         """Split a read into (hit_regions, miss_regions).
@@ -151,22 +139,7 @@ class WriteBackCache:
         partial coverage goes to disk whole, as the daemon would rather
         issue one disk read than stitch a response from two sources.
         """
-        hits: List[Tuple[int, int]] = []
-        misses: List[Tuple[int, int]] = []
-        for offset, length in regions:
-            if length > 0 and self._covered(offset, offset + length):
-                hits.append((offset, length))
-            else:
-                misses.append((offset, length))
-        return hits, misses
-
-    def _covered(self, start: int, end: int) -> bool:
-        for lo, hi in self.dirty_runs:
-            if lo <= start and end <= hi:
-                return True
-            if lo > start:
-                break
-        return False
+        return split(self.dirty_runs, regions)
 
     # -- flushing -----------------------------------------------------------
     def flush(self):

@@ -96,22 +96,18 @@ class StripingLayout:
             raise ValueError("offset must be non-negative")
         if length < 0:
             raise ValueError("length must be non-negative")
+        strip_size = self.strip_size
+        nservers = self.nservers
         pieces: List[Piece] = []
-        position = offset
-        remaining = length
-        while remaining > 0:
-            in_strip = position % self.strip_size
-            take = min(self.strip_size - in_strip, remaining)
-            pieces.append(
-                Piece(
-                    server=self.server_of(position),
-                    physical_offset=self.physical_offset(position),
-                    length=take,
-                    logical_offset=position,
-                )
-            )
-            position += take
-            remaining -= take
+        strip, in_strip = divmod(offset, strip_size)
+        while length > 0:
+            take = min(strip_size - in_strip, length)
+            row, server = divmod(strip, nservers)
+            pieces.append(Piece(server, row * strip_size + in_strip, take, offset))
+            offset += take
+            length -= take
+            strip += 1
+            in_strip = 0
         return pieces
 
     def map_regions(self, regions: Iterable[Region]) -> Dict[int, List[Piece]]:

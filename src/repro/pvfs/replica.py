@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .bytestore import merge_extents
+from . import extents as runs
 
 Region = Tuple[int, int]  # (offset, length)
 Extent = Tuple[int, int]  # (start, end) half-open
@@ -71,11 +71,9 @@ class MissedLedger:
         Overlaps with already-missed extents (a second outage re-losing
         partially re-driven data) merge rather than double-count.
         """
-        before = self.outstanding_bytes()
-        self.extents = merge_extents(
-            self.extents + [(o, o + l) for o, l in regions if l > 0]
-        )
-        grown = self.outstanding_bytes() - before
+        grown = 0
+        for offset, length in regions:
+            grown += runs.add(self.extents, offset, offset + length)
         self.recorded_bytes += grown
         return grown
 
@@ -103,9 +101,8 @@ class MissedLedger:
                 taken.append((start, budget))
                 self.extents[0] = (start + budget, end)
                 budget = 0
-        self.inflight = merge_extents(
-            self.inflight + [(o, o + l) for o, l in taken]
-        )
+        for offset, length in taken:
+            runs.add(self.inflight, offset, offset + length)
         return taken
 
     def mark_rebuilt(self, nbytes: int) -> None:
@@ -119,9 +116,8 @@ class MissedLedger:
         the bytes were already counted when first missed.
         """
         self.inflight = []
-        self.extents = merge_extents(
-            self.extents + [(o, o + l) for o, l in regions if l > 0]
-        )
+        for offset, length in regions:
+            runs.add(self.extents, offset, offset + length)
 
     def abandon(self) -> int:
         """Discard all outstanding extents (permanent kill); returns bytes.
@@ -139,14 +135,10 @@ class MissedLedger:
 
     def overlaps(self, regions: List[Region]) -> bool:
         """True when any region intersects a missed extent, queued or in flight."""
-        for offset, length in regions:
-            if length <= 0:
-                continue
-            end = offset + length
-            for extents in (self.extents, self.inflight):
-                for lo, hi in extents:
-                    if lo >= end:
-                        break
-                    if hi > offset:
-                        return True
-        return False
+        if not (self.extents or self.inflight):
+            return False
+        return any(
+            runs.overlaps(self.extents, offset, offset + length)
+            or runs.overlaps(self.inflight, offset, offset + length)
+            for offset, length in regions
+        )

@@ -17,32 +17,15 @@ The metadata server serves open/create/resize ops with a fixed cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import Environment, Resource
+from . import extents
 from .cache import ABSORB_REGION_S, WriteBackCache
 from .disk import DiskModel
 from .sched import DiskQueue, make_policy
 
 MIB = 1024 * 1024
-
-
-def _subtract_extent(
-    runs: List[Tuple[int, int]], start: int, end: int
-) -> Tuple[List[Tuple[int, int]], int]:
-    """Remove [start, end) from sorted disjoint runs; returns (runs, removed)."""
-    out: List[Tuple[int, int]] = []
-    removed = 0
-    for lo, hi in runs:
-        if hi <= start or lo >= end:
-            out.append((lo, hi))
-            continue
-        removed += min(hi, end) - max(lo, start)
-        if lo < start:
-            out.append((lo, start))
-        if end < hi:
-            out.append((end, hi))
-    return out, removed
 
 
 @dataclass
@@ -131,13 +114,17 @@ class IOServer:
         )
         # Sequential-detection read-ahead (off at 0 — zero new events, the
         # seed's request path exactly).  ``_ra_runs`` holds the *clean*
-        # prefetched extents as sorted disjoint [start, end); they are
-        # invalidated by any overlapping write (a prefetched range holds
+        # prefetched extents as extent runs (see ``pvfs/extents.py``); they
+        # are invalidated by any overlapping write (a prefetched range holds
         # pre-write disk state) and cleared outright by ``fail()``.
+        # ``_ra_inflight`` maps each prefetch still holding the disk to the
+        # extents it may store when its read lands; writes and ``fail()``
+        # shrink those too, so a prefetch never stores what they outdated.
         self.readahead_B = readahead_B
         self._ra_mem_Bps = cache_mem_Bps
         self._ra_next = 0
         self._ra_runs: List[Tuple[int, int]] = []
+        self._ra_inflight: Dict[int, List[Tuple[int, int]]] = {}
         # Bind metric handles once (prometheus-client style) so the
         # per-request cost is a float add; with the null registry these are
         # shared no-op instruments and the enabled flag skips them anyway.
@@ -216,13 +203,14 @@ class IOServer:
                 c.cache_lost(self.server_id, lost_bytes)
                 c.cache_state(self.server_id, self.cache.dirty_runs, 0)
         # Prefetched extents die with the daemon's memory — a later read
-        # must not be served from data prefetched before the failure.
+        # must not be served from data prefetched before the failure, nor
+        # from a prefetch whose disk read was still in flight.
+        for pending in self._ra_inflight.values():
+            pending.clear()
+        self._ra_inflight.clear()
         if self._ra_runs:
-            wasted = sum(hi - lo for lo, hi in self._ra_runs)
+            self._ra_count_wasted(sum(hi - lo for lo, hi in self._ra_runs))
             self._ra_runs = []
-            self.stats.readahead_wasted += wasted
-            if self._m_enabled:
-                self._c_ra_wasted.add(wasted)
         self._ra_next = 0
         return dropped
 
@@ -305,7 +293,7 @@ class IOServer:
                 c.server_write_in(
                     self.server_id, sum(length for _, length in regions)
                 )
-            if self._ra_runs:
+            if self._ra_runs or self._ra_inflight:
                 self._ra_invalidate(regions)
         span = None
         if is_read and self.readahead_B:
@@ -319,6 +307,10 @@ class IOServer:
         if cache is not None:
             if not is_read:
                 yield from cache.absorb(regions)
+                # A prefetch that read these extents while the write was
+                # still being copied in holds pre-write bytes.
+                if self._ra_runs or self._ra_inflight:
+                    self._ra_invalidate(regions)
                 return
             hits, regions = cache.read_split(regions)
             if hits:
@@ -337,7 +329,7 @@ class IOServer:
             if self._m_enabled:
                 self._c_cache_misses.add(len(regions))
         if is_read and self.readahead_B:
-            ra_hits, regions = self._ra_split(regions)
+            ra_hits, regions = extents.split(self._ra_runs, regions)
             if ra_hits:
                 hit_bytes = sum(length for _, length in ra_hits)
                 yield self.env.timeout(
@@ -360,78 +352,38 @@ class IOServer:
     def _ra_memory_time(self, nregions: int, nbytes: int) -> float:
         return ABSORB_REGION_S * nregions + nbytes / self._ra_mem_Bps
 
-    def _ra_covered(self, start: int, end: int) -> bool:
-        for lo, hi in self._ra_runs:
-            if lo <= start and end <= hi:
-                return True
-            if lo > start:
-                break
-        return False
-
-    def _ra_split(self, regions: List[Tuple[int, int]]):
-        """Split a read into (prefetch hits, misses); full coverage only."""
-        hits: List[Tuple[int, int]] = []
-        misses: List[Tuple[int, int]] = []
-        for offset, length in regions:
-            if length > 0 and self._ra_covered(offset, offset + length):
-                hits.append((offset, length))
-            else:
-                misses.append((offset, length))
-        return hits, misses
-
     def _ra_invalidate(self, regions: List[Tuple[int, int]]) -> None:
-        """Drop prefetched extents overlapping a write (now stale)."""
+        """Drop prefetched extents overlapping a write (now stale).
+
+        In-flight prefetches lose the same extents; their bytes count as
+        wasted when the prefetch lands.
+        """
         wasted = 0
         for offset, length in regions:
-            if length <= 0:
-                continue
-            self._ra_runs, removed = _subtract_extent(
-                self._ra_runs, offset, offset + length
-            )
-            wasted += removed
+            end = offset + length
+            wasted += extents.subtract(self._ra_runs, offset, end)
+            for pending in self._ra_inflight.values():
+                extents.subtract(pending, offset, end)
         if wasted:
-            self.stats.readahead_wasted += wasted
-            if self._m_enabled:
-                self._c_ra_wasted.add(wasted)
+            self._ra_count_wasted(wasted)
+
+    def _ra_count_wasted(self, nbytes: int) -> None:
+        self.stats.readahead_wasted += nbytes
+        if self._m_enabled:
+            self._c_ra_wasted.add(nbytes)
 
     def _ra_gaps(self, start: int, end: int) -> List[Tuple[int, int]]:
         """Sub-extents of [start, end) not already prefetched or dirty."""
-        gaps: List[Tuple[int, int]] = []
-        cursor = start
-        for lo, hi in self._ra_runs:
-            if hi <= cursor:
-                continue
-            if lo >= end:
-                break
-            if lo > cursor:
-                gaps.append((cursor, min(lo, end)))
-            cursor = max(cursor, hi)
-            if cursor >= end:
-                break
-        if cursor < end:
-            gaps.append((cursor, end))
-        if self.cache is not None and self.cache.dirty_runs:
-            # Never prefetch a dirty range: the platter holds pre-flush
-            # state there and the cache already serves those reads.
-            for lo, hi in self.cache.dirty_runs:
-                clipped = []
-                for g_lo, g_hi in gaps:
-                    remaining, _ = _subtract_extent([(g_lo, g_hi)], lo, hi)
-                    clipped.extend(remaining)
-                gaps = clipped
-        return gaps
-
-    def _ra_add(self, start: int, end: int) -> None:
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in self._ra_runs:
-            if hi < start or lo > end:
-                merged.append((lo, hi))
-            else:
-                start = min(start, lo)
-                end = max(end, hi)
-        merged.append((start, end))
-        merged.sort()
-        self._ra_runs = merged
+        gaps = extents.gaps(self._ra_runs, start, end)
+        dirty = self.cache.dirty_runs if self.cache is not None else None
+        if not dirty:
+            return gaps
+        # Never prefetch a dirty range: the platter holds pre-flush
+        # state there and the cache already serves those reads.
+        clipped: List[Tuple[int, int]] = []
+        for g_lo, g_hi in gaps:
+            clipped.extend(extents.gaps(dirty, g_lo, g_hi))
+        return clipped
 
     def _ra_after_read(self, lo: int, hi: int):
         """Process fragment: sequential detection + prefetch after a read.
@@ -439,27 +391,32 @@ class IOServer:
         A read starting exactly where the previous one ended continues a
         sequential stream; the next ``readahead_B`` bytes are pulled
         through the disk stack so the stream's next requests hit memory.
+        Only the extents no write or failure outdated while the prefetch
+        held the disk are stored; those bytes, and any an overlapping
+        prefetch stored first, count as wasted.
         """
         sequential = lo == self._ra_next
         self._ra_next = hi
         if not sequential:
             return
-        gaps = [
-            (g_lo, g_hi)
-            for g_lo, g_hi in self._ra_gaps(hi, hi + self.readahead_B)
-            if g_hi > g_lo
-        ]
+        gaps = self._ra_gaps(hi, hi + self.readahead_B)
         if not gaps:
             return
         nbytes = sum(g_hi - g_lo for g_lo, g_hi in gaps)
-        yield from self._acquire_and_service(
-            [(g_lo, g_hi - g_lo) for g_lo, g_hi in gaps], is_read=True
-        )
+        regions = [(g_lo, g_hi - g_lo) for g_lo, g_hi in gaps]
+        self._ra_inflight[id(gaps)] = gaps
+        try:
+            yield from self._acquire_and_service(regions, is_read=True)
+        finally:
+            self._ra_inflight.pop(id(gaps), None)
+        stored = 0
         for g_lo, g_hi in gaps:
-            self._ra_add(g_lo, g_hi)
+            stored += extents.add(self._ra_runs, g_lo, g_hi)
         self.stats.readahead_bytes += nbytes
         if self._m_enabled:
             self._c_ra_bytes.add(nbytes)
+        if stored != nbytes:
+            self._ra_count_wasted(nbytes - stored)
 
     def count_replica_bytes(self, nbytes: int) -> None:
         """Account ``nbytes`` received as a non-primary replica copy."""
@@ -479,7 +436,7 @@ class IOServer:
         c = self.env.check
         if c.enabled:
             c.server_write_in(self.server_id, nbytes)
-        if self._ra_runs:
+        if self._ra_runs or self._ra_inflight:
             self._ra_invalidate(regions)
         yield from self._acquire_and_service(regions, is_read=False)
         self.stats.rebuild_bytes += nbytes
