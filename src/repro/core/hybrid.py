@@ -65,13 +65,6 @@ class _ResultSlice:
     def query_total_bytes(self, query_id: int) -> int:
         return self._results.query_total_bytes(self._lo + query_id)
 
-    def run_total_bytes(self) -> int:
-        n = len(self._results.queries)
-        return sum(
-            self._results.query_total_bytes(q)
-            for q in range(self._lo, min(self._lo + 10**9, n))
-        )
-
 
 @dataclass(frozen=True)
 class HybridResult:

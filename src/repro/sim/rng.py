@@ -12,6 +12,7 @@ generated".
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
@@ -19,14 +20,25 @@ import numpy as np
 PathElement = Union[int, str]
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _element_words(element: PathElement) -> bytes:
+    """Two little-endian 32-bit words naming one path element (BLAKE2)."""
+    return hashlib.blake2b(repr(element).encode(), digest_size=8).digest()
+
+
 def _path_entropy(path: Tuple[PathElement, ...]) -> Tuple[int, ...]:
     """Map a heterogeneous path to stable 32-bit words via BLAKE2."""
-    words = []
-    for element in path:
-        digest = hashlib.blake2b(repr(element).encode(), digest_size=8).digest()
-        words.append(int.from_bytes(digest[:4], "little"))
-        words.append(int.from_bytes(digest[4:], "little"))
-    return tuple(words)
+    words = np.frombuffer(b"".join(map(_element_words, path)), dtype="<u4")
+    return tuple(words.tolist())
+
+
+def _seed_words(seed: int) -> bytes:
+    """``seed`` as little-endian 32-bit words, least significant first —
+    the words :class:`numpy.random.SeedSequence` makes of an int (at least
+    one word, so 0 is ``[0]``)."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative to draw, got {seed}")
+    return seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
 
 
 class RandomStreams:
@@ -41,9 +53,17 @@ class RandomStreams:
         return f"RandomStreams(seed={self.seed})"
 
     def stream(self, *path: PathElement) -> np.random.Generator:
-        """A generator whose state depends only on (seed, path)."""
-        entropy = (self.seed,) + _path_entropy(tuple(path))
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+        """A generator whose state depends only on (seed, path).
+
+        The entropy is the seed's words followed by two words per path
+        element, handed to :class:`~numpy.random.SeedSequence` as one
+        ``uint32`` array: the same pool as the tuple ``(seed, *words)``
+        without numpy coercing each int on its own."""
+        entropy = np.frombuffer(
+            _seed_words(self.seed) + b"".join(map(_element_words, path)),
+            dtype="<u4",
+        )
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def spawn(self, *path: PathElement) -> "RandomStreams":
         """A sub-factory rooted at ``path`` (for nested components)."""

@@ -58,29 +58,24 @@ class FragmentedDatabase:
 
     @property
     def fragments(self) -> List[Fragment]:
-        base = self.total_bytes // self.nfragments
-        remainder = self.total_bytes % self.nfragments
-        return [
-            Fragment(i, base + (1 if i < remainder else 0))
-            for i in range(self.nfragments)
-        ]
+        return [self.fragment(i) for i in range(self.nfragments)]
 
     def fragment(self, fragment_id: int) -> Fragment:
-        if not 0 <= fragment_id < self.nfragments:
-            raise ValueError(f"fragment {fragment_id} out of range")
-        return self.fragments[fragment_id]
+        return Fragment(fragment_id, self.fragment_extent(fragment_id)[1])
 
     def fragment_extent(self, fragment_id: int) -> Tuple[int, int]:
         """(offset, nbytes) of the fragment in a densely-packed db file.
 
         Fragments are stored in id order with no gaps, so the extent is a
         prefix sum — this is the read span a worker preloads before its
-        first search against the fragment."""
-        fragments = self.fragments
+        first search against the fragment.  The first ``total % n``
+        fragments carry one extra byte, which gives the sum in closed
+        form."""
         if not 0 <= fragment_id < self.nfragments:
             raise ValueError(f"fragment {fragment_id} out of range")
-        offset = sum(f.nbytes for f in fragments[:fragment_id])
-        return offset, fragments[fragment_id].nbytes
+        base, remainder = divmod(self.total_bytes, self.nfragments)
+        offset = base * fragment_id + min(fragment_id, remainder)
+        return offset, base + (1 if fragment_id < remainder else 0)
 
     def sample_sequence_lengths(
         self, query_id: int, fragment_id: int, count: int

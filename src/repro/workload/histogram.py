@@ -32,6 +32,17 @@ class BoxHistogram:
                 raise ValueError("box weights must be non-negative")
         if self.total_weight() <= 0:
             raise ValueError("at least one box needs positive weight")
+        # Sampling tables, built once: the normalized CDF over boxes and
+        # each box's [low, high + 1) integer range.
+        cdf = self.probabilities().cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(
+            self, "_lows", np.array([l for l, _, _ in self.boxes], dtype=np.int64)
+        )
+        object.__setattr__(
+            self, "_ends", np.array([h + 1 for _, h, _ in self.boxes], dtype=np.int64)
+        )
 
     @classmethod
     def single(cls, low: int, high: int) -> "BoxHistogram":
@@ -69,17 +80,18 @@ class BoxHistogram:
         return max(h for _, h, w in self.boxes if w > 0)
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        """``count`` sizes drawn from the histogram (int64 array)."""
+        """``count`` sizes drawn from the histogram (int64 array).
+
+        The box draw is ``Generator.choice(len(boxes), count, p=...)``'s own
+        algorithm (one uniform per sample, searched in the normalized CDF)
+        on the cached table: the same boxes and the same stream position as
+        calling ``choice``."""
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        probs = self.probabilities()
-        box_idx = rng.choice(len(self.boxes), size=count, p=probs)
-        lows = np.array([l for l, _, _ in self.boxes], dtype=np.int64)[box_idx]
-        highs = np.array([h for _, h, _ in self.boxes], dtype=np.int64)[box_idx]
-        # integers() high bound is exclusive.
-        return rng.integers(lows, highs + 1, dtype=np.int64)
+        box_idx = self._cdf.searchsorted(rng.random(count), side="right")
+        return rng.integers(self._lows[box_idx], self._ends[box_idx], dtype=np.int64)
 
     def sample_one(self, rng: np.random.Generator) -> int:
         return int(self.sample(rng, 1)[0])

@@ -98,6 +98,10 @@ class ResultGenerator:
         self.model = model
         self._streams = streams.spawn("results")
         self._counts_cache: dict = {}
+        #: query id -> int64[nfragments] of batch byte totals recorded at
+        #: draw time, -1 for a batch not drawn yet — so the whole-run
+        #: aggregates re-use the workers' draws instead of redrawing.
+        self._bytes_cache: dict = {}
 
     # -- counts ------------------------------------------------------------
     def query_result_count(self, query_id: int) -> int:
@@ -111,14 +115,25 @@ class ResultGenerator:
             total = self.query_result_count(query_id)
             rng = self._streams.stream("assign", query_id)
             probs = np.full(self.database.nfragments, 1.0 / self.database.nfragments)
-            self._counts_cache[query_id] = rng.multinomial(total, probs)
+            counts = rng.multinomial(total, probs)
+            counts.flags.writeable = False
+            self._counts_cache[query_id] = counts
         return self._counts_cache[query_id]
+
+    def _batch_bytes(self, query_id: int) -> np.ndarray:
+        memo = self._bytes_cache.get(query_id)
+        if memo is None:
+            memo = self._bytes_cache[query_id] = np.full(
+                self.database.nfragments, -1, dtype=np.int64
+            )
+        return memo
 
     # -- batches ---------------------------------------------------------------
     def batch(self, query_id: int, fragment_id: int) -> ResultBatch:
         """The results of (query, fragment) — the unit of worker compute."""
         count = int(self.fragment_counts(query_id)[fragment_id])
         if count == 0:
+            self._batch_bytes(query_id)[fragment_id] = 0
             empty = np.zeros(0)
             return ResultBatch(
                 query_id, fragment_id,
@@ -131,17 +146,21 @@ class ResultGenerator:
         upper = 3 * np.maximum(query_len, db_lens)
         upper = np.maximum(upper, self.model.min_result_size + 1)
         sizes = rng.integers(self.model.min_result_size, upper, dtype=np.int64)
+        self._batch_bytes(query_id)[fragment_id] = sizes.sum()
         scores = rng.random(count)
         order = np.argsort(-scores, kind="stable")
         return ResultBatch(query_id, fragment_id, sizes[order], scores[order])
 
     # -- whole-run aggregates -----------------------------------------------------
     def query_total_bytes(self, query_id: int) -> int:
-        """Output volume of one query (sum over fragments)."""
-        return sum(
-            self.batch(query_id, f).total_bytes
-            for f in range(self.database.nfragments)
-        )
+        """Output volume of one query (sum over fragments).
+
+        Sums the totals recorded when each batch was drawn; only batches
+        no one has drawn yet are drawn here."""
+        memo = self._batch_bytes(query_id)
+        for fragment_id in np.flatnonzero(memo < 0):
+            self.batch(query_id, int(fragment_id))
+        return int(memo.sum())
 
     def run_total_bytes(self) -> int:
         """Output volume of the whole run — the final file size."""

@@ -38,3 +38,26 @@ class TestFragmentExtent:
             db.fragment_extent(-1)
         with pytest.raises(ValueError):
             db.fragment_extent(db.nfragments)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "nfragments,total_bytes", [(4, 1003), (7, 1000), (3, 2), (16, 4 * 1024**3 + 13)]
+    )
+    def test_matches_list_prefix_sums(self, nfragments, total_bytes):
+        """The closed-form extents equal prefix sums over the even split,
+        including a split with leftover bytes (total % n != 0)."""
+        db = make_db(nfragments=nfragments, total_bytes=total_bytes)
+        base, remainder = divmod(total_bytes, nfragments)
+        sizes = [base + (1 if i < remainder else 0) for i in range(nfragments)]
+        for i in range(nfragments):
+            assert db.fragment_extent(i) == (sum(sizes[:i]), sizes[i])
+            assert db.fragment(i).nbytes == sizes[i]
+            assert db.fragment(i).fragment_id == i
+        assert [f.nbytes for f in db.fragments] == sizes
+
+    def test_fragment_out_of_range_rejected(self):
+        db = make_db()
+        for bad in (-1, db.nfragments):
+            with pytest.raises(ValueError):
+                db.fragment(bad)

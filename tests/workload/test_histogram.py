@@ -157,3 +157,57 @@ def test_property_samples_in_declared_range(boxes, seed):
     samples = hist.sample(rng, 100)
     assert samples.min() >= hist.min_size
     assert samples.max() <= hist.max_size
+
+
+class TestSampleBitIdentity:
+    """``sample`` is ``Generator.choice(p=...)`` plus ``integers`` — the same
+    draws and the same stream position afterwards."""
+
+    HISTOGRAMS = (
+        NT_HISTOGRAM,
+        BoxHistogram.from_boxes([(0, 10, 0.0), (20, 30, 1.0), (40, 50, 0.0)]),
+        BoxHistogram.from_boxes([(5, 5, 2.0), (100, 900, 0.0), (1000, 5000, 0.3)]),
+        BoxHistogram.from_boxes([(1, 1000, 0.0), (7, 7, 1e-9), (8, 9, 3.0)]),
+    )
+
+    @staticmethod
+    def reference(hist, rng, count):
+        idx = rng.choice(len(hist.boxes), size=count, p=hist.probabilities())
+        lows = np.array([l for l, _, _ in hist.boxes], dtype=np.int64)[idx]
+        highs = np.array([h for _, h, _ in hist.boxes], dtype=np.int64)[idx]
+        return rng.integers(lows, highs + 1, dtype=np.int64)
+
+    @pytest.mark.parametrize("count", [1, 2, 190, 1500])
+    @pytest.mark.parametrize("index", range(len(HISTOGRAMS)))
+    def test_matches_choice_reference(self, index, count):
+        hist = self.HISTOGRAMS[index]
+        for seed in range(5):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                hist.sample(ours, count), self.reference(hist, ref, count)
+            )
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    @given(
+        boxes=st.lists(
+            st.tuples(
+                st.integers(0, 10**6), st.integers(0, 10**6),
+                st.one_of(st.just(0.0), st.floats(0.001, 100)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        count=st.integers(1, 400),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_matches_choice_reference(self, boxes, count, seed):
+        normalized = [(min(l, h), max(l, h), w) for l, h, w in boxes]
+        if not any(w > 0 for _, _, w in normalized):
+            normalized[0] = (normalized[0][0], normalized[0][1], 1.0)
+        hist = BoxHistogram.from_boxes(normalized)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            hist.sample(ours, count), self.reference(hist, ref, count)
+        )
+        assert ours.bit_generator.state == ref.bit_generator.state

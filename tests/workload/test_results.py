@@ -108,6 +108,61 @@ class TestAggregates:
         expected = sum(gen.batch(0, f).total_bytes for f in range(8))
         assert gen.query_total_bytes(0) == expected
 
+    @staticmethod
+    def count_streams(monkeypatch):
+        opened = []
+        real = RandomStreams.stream
+
+        def counting(self, *path):
+            opened.append(path)
+            return real(self, *path)
+
+        monkeypatch.setattr(RandomStreams, "stream", counting)
+        return opened
+
+    def test_total_after_drawing_opens_no_stream(self, monkeypatch):
+        gen = make_generator(nfragments=8)
+        expected = sum(gen.batch(1, f).total_bytes for f in range(8))
+        opened = self.count_streams(monkeypatch)
+        assert gen.query_total_bytes(1) == expected
+        assert gen.run_total_bytes() > expected
+        assert gen.query_total_bytes(1) == expected
+        assert all(path[1] != 1 for path in opened)
+
+    def test_total_draws_only_missing_batches(self, monkeypatch):
+        gen = make_generator(nfragments=8)
+        for f in range(0, 8, 2):
+            gen.batch(3, f)
+        opened = self.count_streams(monkeypatch)
+        total = gen.query_total_bytes(3)
+        assert {path[2] for path in opened if path[0] == "batch"} == {
+            f for f in range(1, 8, 2) if gen.fragment_counts(3)[f]
+        }
+        assert total == sum(
+            make_generator(nfragments=8).batch(3, f).total_bytes for f in range(8)
+        )
+
+    def test_total_before_any_draw_matches(self):
+        fresh = make_generator(nfragments=8)
+        drawn = make_generator(nfragments=8)
+        expected = sum(drawn.batch(2, f).total_bytes for f in range(8))
+        assert fresh.query_total_bytes(2) == expected
+        assert fresh.run_total_bytes() == drawn.run_total_bytes()
+
+    def test_total_unaffected_by_caller_mutating_a_batch(self):
+        gen = make_generator(nfragments=8)
+        expected = make_generator(nfragments=8).query_total_bytes(0)
+        for f in range(8):
+            gen.batch(0, f).sizes[:] = 1
+        assert gen.query_total_bytes(0) == expected
+
+    def test_fragment_counts_read_only(self):
+        gen = make_generator()
+        counts = gen.fragment_counts(0)
+        with pytest.raises(ValueError):
+            counts[0] += 1
+        assert gen.fragment_counts(0) is counts
+
     def test_paper_scale_output_volume(self):
         """Paper setup: ~208 MB of output per run (we accept 100-400 MB)."""
         streams = RandomStreams(2006)
