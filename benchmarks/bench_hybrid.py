@@ -10,14 +10,22 @@ Two separate "hybrid" ideas share this module:
 
 import pytest
 
-from repro.core import HybridS3aSim, SimulationConfig, run_simulation
+from repro.core import SimulationConfig, run_simulation
 from repro.core.strategies import STRATEGIES
+from repro.shard import ShardConfig
 from repro.workload.results import ResultModel
 
 from conftest import write_output
 
 NPROCS = 24
 WORKLOAD = dict(nqueries=12, nfragments=48)
+
+
+def partitioned(cfg: SimulationConfig, k: int) -> SimulationConfig:
+    """``cfg`` as a closed batch over ``k`` partitions (contiguous query
+    and rank blocks)."""
+    return cfg.with_(shard=ShardConfig(nshards=k, placement="range", steal=False))
+
 
 # Mixed workload for the adaptive bench: query output volumes span three
 # orders of magnitude, so no single static strategy is tuned for all of
@@ -91,8 +99,8 @@ def test_hybrid_partition_sweep(benchmark, strategy):
     def sweep():
         rows = {1: run_simulation(cfg).elapsed}
         for k in (2, 4):
-            result = HybridS3aSim(cfg, k).run()
-            assert result.complete
+            result = run_simulation(partitioned(cfg, k))
+            assert result.file_stats.complete
             rows[k] = result.elapsed
         return rows
 
@@ -118,7 +126,7 @@ def test_hybrid_helps_collective_more_than_individual(benchmark):
         for strategy in ("ww-coll", "ww-list"):
             cfg = SimulationConfig(nprocs=NPROCS, strategy=strategy, **WORKLOAD)
             pure = run_simulation(cfg).elapsed
-            split = HybridS3aSim(cfg, 2).run().elapsed
+            split = run_simulation(partitioned(cfg, 2)).elapsed
             out[strategy] = split / pure
         return out
 

@@ -12,7 +12,8 @@ partition versus global load balance.
 Run:  python examples/hybrid_segmentation.py
 """
 
-from repro.core import HybridS3aSim, SimulationConfig, run_simulation
+from repro.core import SimulationConfig, run_simulation
+from repro.shard import ShardConfig
 
 CONFIG = SimulationConfig(
     nprocs=24,
@@ -27,10 +28,12 @@ def main() -> None:
     print(f"pure database segmentation (1 partition): {pure.elapsed:7.2f}s")
 
     for k in (2, 4):
-        result = HybridS3aSim(CONFIG, k).run()
-        assert result.complete
+        # A closed batch over k shards: contiguous query and rank blocks.
+        shard = ShardConfig(nshards=k, placement="range", steal=False)
+        result = run_simulation(CONFIG.with_(shard=shard))
+        assert result.file_stats.complete
         spans = ", ".join(
-            f"p{i}={r.elapsed:.2f}s" for i, r in enumerate(result.partition_results)
+            f"p{i}={span:.2f}s" for i, span in enumerate(result.shard_elapsed)
         )
         print(f"hybrid with {k} partitions:              {result.elapsed:7.2f}s  ({spans})")
 

@@ -113,11 +113,12 @@ class ScoredPolicy(StrategyPolicy):
 class StrategySelector:
     """Chooses and remembers one static strategy per query.
 
-    ``results`` is the run's :class:`~repro.workload.results.ResultGenerator`
-    (hit counts are a pure function of the seed, so the estimate is free
-    of look-ahead bias: the master would know them from the score messages
-    anyway before any I/O decision takes effect); ``fs`` supplies the live
-    server queue-depth gauge.
+    ``results`` is the run's :class:`~repro.workload.results.ResultGenerator`,
+    or in a multi-shard run the shard's view of it, which maps the master's
+    query slots to global queries (hit counts are a pure function of the
+    seed, so the estimate is free of look-ahead bias: the master would
+    know them from the score messages anyway before any I/O decision takes
+    effect); ``fs`` supplies the live server queue-depth gauge.
     """
 
     def __init__(
@@ -144,16 +145,9 @@ class StrategySelector:
             return 0.0
         return sum(s.queue_depth() for s in servers) / len(servers)
 
-    def signals_for(
-        self, query_id: int, content: Optional[int] = None, outstanding_faults: int = 0
-    ) -> QuerySignals:
-        """Assemble the live signal vector for one query.
-
-        ``content`` is the workload content id (differs from the slot id
-        in sharded serve runs).
-        """
-        content = query_id if content is None else content
-        count = int(self.results.fragment_counts(content).sum())
+    def signals_for(self, query_id: int, outstanding_faults: int = 0) -> QuerySignals:
+        """Assemble the live signal vector for one query."""
+        count = int(self.results.fragment_counts(query_id).sum())
         est_B = getattr(self.policy, "weights", PolicyWeights()).est_result_B
         return QuerySignals(
             query_id=query_id,
@@ -164,14 +158,12 @@ class StrategySelector:
             nworkers=self.nworkers,
         )
 
-    def choose(
-        self, query_id: int, content: Optional[int] = None, outstanding_faults: int = 0
-    ) -> str:
+    def choose(self, query_id: int, outstanding_faults: int = 0) -> str:
         """The strategy for ``query_id`` (sticky: chosen exactly once)."""
         prior = self.choices.get(query_id)
         if prior is not None:
             return prior
-        signals = self.signals_for(query_id, content, outstanding_faults)
+        signals = self.signals_for(query_id, outstanding_faults)
         best = self.candidates[0]
         best_score = self.policy.score(best, signals)
         for name in self.candidates[1:]:

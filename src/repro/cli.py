@@ -40,7 +40,7 @@ from .analysis import (
     strategy_grid,
 )
 from .cluster.presets import get_preset
-from .core import HybridS3aSim, S3aSim, SimulationConfig
+from .core import S3aSim, ShardedRunResult, SimulationConfig
 from .core.scenarios import SCENARIOS, get_scenario
 from .faults import FaultPlan, load_fault_plan
 from .core.phases import Phase
@@ -296,24 +296,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     app = S3aSim(cfg)
     result = app.run()
     print(result.summary_line())
-    checker = app.world.env.check
-    if checker.enabled:
-        summary = checker.summary()
-        kinds = "  ".join(
-            f"{kind}={sent}/{delivered}"
-            for kind, (sent, _, delivered, _) in summary["messages"].items()
-        )
-        print(
-            f"invariants: {summary['checks']} checks passed "
-            f"(wire {summary['tx_bytes']} B tx / {summary['rx_bytes']} B rx, "
-            f"msgs sent/delivered {kinds})"
-        )
-        if summary.get("replica_writes"):
-            print(
-                f"replication: {summary['replica_writes']} replicated writes, "
-                f"{summary['replica_acked_bytes']} B acked on live replicas, "
-                f"{summary['replica_outstanding_bytes']} B durability gap open"
-            )
+    _print_check_summary(app)
     print()
     print(f"{'phase':>20s} {'master':>12s} {'worker mean':>12s}")
     wm = result.worker_mean
@@ -338,6 +321,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if value:
                 print(f"  {name:24s} {value:g}")
     return 0 if fstat.complete else 1
+
+
+def _print_check_summary(app: S3aSim) -> None:
+    """The invariant checker's closing summary (nothing without --check)."""
+    checker = app.world.env.check
+    if not checker.enabled:
+        return
+    summary = checker.summary()
+    kinds = "  ".join(
+        f"{kind}={sent}/{delivered}"
+        for kind, (sent, _, delivered, _) in summary["messages"].items()
+    )
+    print(
+        f"invariants: {summary['checks']} checks passed "
+        f"(wire {summary['tx_bytes']} B tx / {summary['rx_bytes']} B rx, "
+        f"msgs sent/delivered {kinds})"
+    )
+    if summary.get("replica_writes"):
+        print(
+            f"replication: {summary['replica_writes']} replicated writes, "
+            f"{summary['replica_acked_bytes']} B acked on live replicas, "
+            f"{summary['replica_outstanding_bytes']} B durability gap open"
+        )
 
 
 def _print_serve_stats(serve: dict, indent: str = "") -> None:
@@ -375,24 +381,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not getattr(args, "arrival", None):
         args.arrival = args.preset
     cfg = _config_from(args).with_(collect_metrics=True)
-    if cfg.shard is not None and cfg.shard.nshards > 1:
-        from .shard.group import MasterGroup
-
-        group = MasterGroup(cfg)
-        result = group.run(until=args.until)
-        print(result.summary_line())
-        _print_serve_stats(result.serve_stats)
+    app = S3aSim(cfg)
+    result = app.run(until=args.until)
+    print(result.summary_line())
+    _print_serve_stats(result.serve_stats)
+    if isinstance(result, ShardedRunResult):
         for index, shard_stats in enumerate(result.shard_serve_stats):
             print(f"shard {index}:")
             _print_serve_stats(shard_stats, indent="  ")
-        env = group.world.env
-    else:
-        app = S3aSim(cfg)
-        result = app.run(until=args.until)
-        print(result.summary_line())
-        _print_serve_stats(result.serve_stats)
-        env = app.world.env
-    checker = env.check
+    checker = app.world.env.check
     if checker.enabled:
         summary = checker.summary()
         arrivals = summary.get("arrivals", {})
@@ -831,12 +828,24 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
             "hybrid mode pre-partitions the closed batch and cannot take "
             "open-loop arrivals; drop --arrival"
         )
-    result = HybridS3aSim(cfg, args.partitions).run()
+    try:
+        cfg = cfg.with_(
+            shard=ShardConfig(
+                nshards=args.partitions, placement="range", steal=False
+            )
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid hybrid configuration: {exc}")
+    app = S3aSim(cfg)
+    result = app.run()
     print(result.summary_line())
-    for index, part in enumerate(result.partition_results):
-        print(f"  partition {index}: {part.summary_line()}")
-    print("complete:", result.complete)
-    return 0 if result.complete else 1
+    if isinstance(result, ShardedRunResult):
+        for index in range(result.nshards):
+            print(f"  partition {index}: {result.shard_summary_line(index)}")
+    _print_check_summary(app)
+    complete = result.file_stats.complete
+    print("complete:", complete)
+    return 0 if complete else 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -1,7 +1,6 @@
 """S3aSim core: the simulator of parallel sequence-search I/O strategies."""
 
 from .app import S3aSim, run_simulation
-from .hybrid import HybridResult, HybridS3aSim, run_hybrid
 from .validate import (
     build_reference_bytestore,
     reference_layout,
@@ -27,7 +26,7 @@ from .protocol import (
     WriteAck,
     WrittenNotice,
 )
-from .report import FileStats, RunResult
+from .report import FileStats, RunResult, ShardedRunResult
 from .scenarios import SCENARIOS, get_scenario
 from .strategies import (
     LABELS,
@@ -44,8 +43,6 @@ from .worker import Worker
 __all__ = [
     "FileStats",
     "Heartbeat",
-    "HybridResult",
-    "HybridS3aSim",
     "IOStrategy",
     "LABELS",
     "MASTER_RANK",
@@ -66,6 +63,7 @@ __all__ = [
     "STRATEGIES",
     "ScoreMessage",
     "ScoredBatchMeta",
+    "ShardedRunResult",
     "SimulationConfig",
     "TaskAssignment",
     "WORKER_COLLECTIVE",
@@ -81,7 +79,6 @@ __all__ = [
     "merge_query",
     "reference_layout",
     "DEFAULT_WORKER_MEMORY_B",
-    "run_hybrid",
     "run_query_segmentation",
     "run_simulation",
     "validate_assignment",

@@ -1,14 +1,42 @@
 """S3aSim application runner: wire everything together and run one job.
 
-Builds the simulated cluster (MPI world + PVFS2 volume sharing the same
-NICs), generates the workload, spawns the master (rank 0) and the workers
-(ranks 1..n-1), runs to completion, and validates the output file against
-the deterministic expectation.
+:class:`S3aSim` is the only code that assembles a run.  It builds the
+simulated cluster (MPI world + PVFS2 volume sharing the same NICs), the
+workload and the shared database file once, then splits the world into
+``shard.nshards`` contiguous rank blocks (one block without a shard
+config): rank 0 of a block runs a :class:`~repro.core.master.Master`, the
+rest its worker pool.  All shards share the simulated network and the PVFS
+volume — their I/O genuinely contends — but each writes its own output
+file (``<path>.shard<i>`` when there is more than one), because the offset
+ledger is a per-master, strictly-in-order structure.  After the run one
+finalize validates every output file against the deterministic
+expectation and collects the statistics.
+
+A shard's master and workers work in *local* query ids; the shard's
+results view (:class:`_ShardResults`) is the one place that translates
+them to the global query whose results the workload holds:
+
+* a **closed batch** over k shards (hybrid query/database segmentation,
+  the paper's Section 5 future work) gives shard i the contiguous query
+  block ``partition_ranks(nqueries, k, i)`` — a fixed map;
+* **sharded serve mode** drives one global arrival process through an
+  :class:`_ArrivalRouter`, which places each arrival on a shard (hash or
+  range of the arrival index; placement consumes no randomness, so the
+  arrival stream is bit-identical to a single-master run at the same
+  seed) and stamps it with its global *content id* — a live map, so a
+  query keeps its identity when work-stealing moves it between shards.
+
+Work stealing (``ShardConfig.steal``, serve mode only): a master whose
+pending queue drains while workers are parked probes its peers
+round-robin over the out-of-band channel (``Steal``/``Donate``); a donor
+ships the youngest half of its unstarted, non-priority queries.  Latency
+is measured end to end — a stolen query's clock starts at its original
+arrival.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
 from ..adapt.selector import StrategySelector
 from ..check.invariants import InvariantChecker
@@ -18,10 +46,83 @@ from ..mpiio.file import MPIIOFile
 from ..obs.metrics import MetricsRegistry
 from ..pvfs.filesystem import FileSystem, PVFSFile
 from ..serve.arrivals import arrival_process
+from ..shard.state import ShardConfig, partition_ranks, place
 from .config import SimulationConfig, Workload
 from .master import Master
-from .report import FileStats, RunResult
+from .report import FileStats, RunResult, ShardedRunResult
 from .worker import Worker
+
+
+class _ShardResults:
+    """Result-generator view translating a shard's local query slots to
+    global query ids (``content``: fixed for a batch block, live in serve
+    mode — slots appear at admission and a stolen query brings its
+    content id along)."""
+
+    def __init__(self, results, content: Dict[int, int]) -> None:
+        self._results = results
+        self._content = content
+
+    def batch(self, query_id: int, fragment_id: int):
+        return self._results.batch(self._content[query_id], fragment_id)
+
+    def query_total_bytes(self, query_id: int) -> int:
+        return self._results.query_total_bytes(self._content[query_id])
+
+    def fragment_counts(self, query_id: int):
+        return self._results.fragment_counts(self._content[query_id])
+
+
+class _ShardWorkload:
+    """Workload view handed to one shard's workers."""
+
+    def __init__(self, workload: Workload, content: Dict[int, int]) -> None:
+        self.queries = workload.queries
+        self.database = workload.database
+        self.results = _ShardResults(workload.results, content)
+
+
+class _ArrivalRouter:
+    """The object the global arrival process drives in sharded serve mode.
+
+    Quacks like a master (``on_arrival`` / ``arrivals_finished``) but only
+    places: the ``i``-th arrival goes to ``place(i)`` with content id
+    ``i``.  All masters learn of arrival exhaustion at the same instant.
+    """
+
+    def __init__(
+        self, masters: List[Master], shard_cfg: ShardConfig, nqueries: int
+    ) -> None:
+        self._masters = masters
+        self._shard_cfg = shard_cfg
+        self._nqueries = nqueries
+        self._index = 0
+
+    def on_arrival(self, priority: bool) -> None:
+        index = self._index
+        self._index += 1
+        shard = place(
+            index, len(self._masters), self._shard_cfg.placement, self._nqueries
+        )
+        self._masters[shard].on_arrival(priority, content=index)
+
+    def arrivals_finished(self) -> None:
+        for master in self._masters:
+            master.arrivals_finished()
+
+
+class _Shard:
+    """One master/worker pool's world ranks, communicators and output file
+    (its master and workers are built by ``S3aSim.run``)."""
+
+    def __init__(self, index: int, ranks: List[int], comm, wcomm, fh) -> None:
+        self.index = index
+        self.ranks = ranks
+        self.comm = comm
+        #: Worker-only communicator (local rank i == shard rank i+1): the
+        #: collective writes and query-sync barriers happen here.
+        self.wcomm = wcomm
+        self.fh = fh
 
 
 class S3aSim:
@@ -52,17 +153,37 @@ class S3aSim:
             recorder=recorder,
         )
         self.workload: Workload = config.build_workload()
-        # The output file is created up-front (rank 0 would MPI_File_open
-        # with MODE_CREATE; the metadata cost is negligible next to the
-        # run and keeping it out of the rank processes simplifies handle
-        # sharing).
-        file = PVFSFile(
-            config.output_path, self.fs.layout, config.effective_pvfs().store_data
-        )
-        self.fs.files[config.output_path] = file
+        self.nshards = config.shard.nshards if config.shard is not None else 1
+        # The output files are created up-front (rank 0 would
+        # MPI_File_open with MODE_CREATE; the metadata cost is negligible
+        # next to the run and keeping it out of the rank processes
+        # simplifies handle sharing).
+        store = config.effective_pvfs().store_data
         strategy = config.io_strategy()
-        self.fh = MPIIOFile(
-            self.fs, file, strategy.hints(sync_after_write=config.sync_after_write)
+        self.shards: List[_Shard] = []
+        for i in range(self.nshards):
+            if self.nshards == 1:
+                path = config.output_path
+                ranks = list(range(config.nprocs))
+                comm = self.world.comm
+            else:
+                path = f"{config.output_path}.shard{i}"
+                ranks = partition_ranks(config.nprocs, self.nshards, i)
+                comm = self.world.comm.sub(ranks)
+            file = PVFSFile(path, self.fs.layout, store)
+            self.fs.files[path] = file
+            fh = MPIIOFile(
+                self.fs, file, strategy.hints(sync_after_write=config.sync_after_write)
+            )
+            wcomm = comm.sub(list(range(1, len(ranks))))
+            self.shards.append(_Shard(i, ranks, comm, wcomm, fh))
+        #: The output file handle of shard 0 (the only one of a plain run).
+        self.fh = self.shards[0].fh
+        #: Master-to-master communicator, local rank == shard index.
+        self.mcomm = (
+            self.world.comm.sub([s.ranks[0] for s in self.shards])
+            if self.nshards > 1
+            else None
         )
         # Shared database file for fragment preloads: densely-packed
         # fragments, read-only during the run (store_data off — only the
@@ -74,19 +195,40 @@ class S3aSim:
             self.db_fh = MPIIOFile(
                 self.fs, db_file, strategy.hints(sync_after_write=False)
             )
-        # Worker-only communicator (rank i of wcomm == world rank i+1): the
-        # collective writes and query-sync barriers happen here.
-        self.wcomm = self.world.comm.sub(list(range(1, config.nprocs)))
 
-    def run(self, until: Optional[float] = None) -> RunResult:
-        """Execute the simulation and return the collected result.
+    def _shard_view(self, shard: _Shard):
+        """The shard's config, workload view and (batch) query content map.
 
-        ``until`` cuts the run off at that simulated time (serve-mode
-        horizon experiments); phase reports are then synthesized from the
-        live timers and still-open trace intervals are cleaned up, so the
-        partial result is still well-formed.
+        A plain run uses the run's own config and workload.  A batch shard
+        runs its contiguous query block under local ids; a serve shard's
+        content map fills in as its master admits (the master's own map).
         """
         cfg = self.config
+        if self.nshards == 1:
+            return cfg, self.workload, None
+        if cfg.arrival is None:
+            block = partition_ranks(cfg.nqueries, self.nshards, shard.index)
+            content = dict(enumerate(block))
+            sub_cfg = cfg.with_(
+                nprocs=len(shard.ranks), nqueries=len(block), shard=None
+            )
+        else:
+            content = {}
+            sub_cfg = cfg.with_(nprocs=len(shard.ranks), shard=None)
+        return sub_cfg, _ShardWorkload(self.workload, content), content
+
+    def run(self, until: Optional[float] = None):
+        """Execute the simulation and return the collected result.
+
+        A plain run returns a :class:`RunResult`, a multi-shard run a
+        :class:`ShardedRunResult`.  ``until`` cuts the run off at that
+        simulated time (serve-mode horizon experiments); phase reports are
+        then synthesized from the live timers and still-open trace
+        intervals are cleaned up, so the partial result is still
+        well-formed.
+        """
+        cfg = self.config
+        env = self.world.env
 
         resume_block_sizes = None
         if cfg.resume_from_query:
@@ -94,23 +236,10 @@ class S3aSim:
                 self.workload.results.query_total_bytes(q)
                 for q in range(cfg.resume_from_query)
             ]
-        selector = None
-        if cfg.adaptive:
-            selector = StrategySelector(
-                self.workload.results, self.fs, nworkers=cfg.nworkers
-            )
-        master = Master(
-            self.world.comm.view(0), cfg, self.fh,
-            recorder=self.recorder,
-            resume_block_sizes=resume_block_sizes,
-            selector=selector,
-        )
-        self.world.spawn(0, lambda _view, m=master: m.run())
-        workers = []
         injector = None
         if not cfg.fault_plan.empty:
             injector = FaultInjector(
-                self.world.env,
+                env,
                 cfg.fault_plan,
                 cfg.effective_fault_tolerance(),
                 network=self.world.network,
@@ -118,82 +247,122 @@ class S3aSim:
                 streams=cfg.streams(),
                 recorder=self.recorder,
             )
-        for rank in range(1, cfg.nprocs):
-            worker = Worker(
-                self.world.comm.view(rank),
-                self.wcomm.view(rank - 1),
-                cfg,
-                self.workload,
-                self.fh,
+        masters: List[Master] = []
+        views = []  # per shard: its results view
+        #: World rank -> its master or worker, masters before their workers.
+        by_rank: Dict[int, object] = {}
+        for shard in self.shards:
+            sub_cfg, workload, content = self._shard_view(shard)
+            views.append(workload.results)
+            selector = None
+            if sub_cfg.adaptive:
+                selector = StrategySelector(
+                    workload.results, self.fs, nworkers=sub_cfg.nworkers
+                )
+            master = Master(
+                shard.comm.view(0), sub_cfg, shard.fh,
                 recorder=self.recorder,
-                db_fh=self.db_fh,
+                resume_block_sizes=resume_block_sizes,
+                selector=selector,
             )
-            workers.append(worker)
-            process = self.world.spawn(rank, lambda _view, w=worker: w.run())
-            if injector is not None:
-                injector.register_worker(rank, worker, process)
+            if self.mcomm is not None:
+                master.attach_shard(
+                    shard.index, self.mcomm.view(shard.index), cfg.shard
+                )
+                if master.serve is not None:
+                    # Admission and steals fill the shard's content map.
+                    master.serve.content = content
+            masters.append(master)
+            by_rank[shard.ranks[0]] = master
+            self.world.spawn(shard.ranks[0], lambda _view, m=master: m.run())
+            for local in range(1, len(shard.ranks)):
+                worker = Worker(
+                    shard.comm.view(local),
+                    shard.wcomm.view(local - 1),
+                    sub_cfg,
+                    workload,
+                    shard.fh,
+                    recorder=self.recorder,
+                    db_fh=self.db_fh,
+                )
+                worker.shard_id = shard.index
+                rank = shard.ranks[local]
+                by_rank[rank] = worker
+                process = self.world.spawn(rank, lambda _view, w=worker: w.run())
+                if injector is not None:
+                    injector.register_worker(rank, worker, process)
         if injector is not None:
             injector.start()
 
         if cfg.arrival is not None:
-            self.world.env.process(
+            target = (
+                masters[0]
+                if self.nshards == 1
+                else _ArrivalRouter(masters, cfg.shard, cfg.nqueries)
+            )
+            env.process(
                 arrival_process(
-                    self.world.env,
-                    master,
-                    cfg.arrival,
-                    cfg.streams(),
-                    cfg.nqueries,
+                    env, target, cfg.arrival, cfg.streams(), cfg.nqueries
                 ),
                 name="arrivals",
             )
 
         reports = self.world.run(until=until)
-        elapsed = self.world.env.now
+        elapsed = env.now
         cutoff = any(report is None for report in reports.values())
         if cutoff:
             # ``until`` fired first: synthesize phase reports from the live
             # timers and close every dangling trace interval (still-pending
             # queries' latency bars are discarded, not fabricated).
             if self.recorder is not None:
-                if master.serve is not None:
-                    for q in list(master.serve.arrival_t):
-                        self.recorder.discard(0, state=f"serve_q{q}")
+                for master in masters:
+                    if master.serve is not None:
+                        for q in list(master.serve.arrival_t):
+                            self.recorder.discard(
+                                master.comm.global_rank, state=f"serve_q{q}"
+                            )
                 for rank in range(cfg.nprocs):
                     self.recorder.abort(rank, elapsed)
             reports = {
-                0: reports[0] if reports[0] is not None else master.timer.report()
-            } | {
-                r: (
-                    reports[r]
-                    if reports[r] is not None
-                    else workers[r - 1].timer.report()
-                )
-                for r in range(1, cfg.nprocs)
+                rank: report if report is not None else by_rank[rank].timer.report()
+                for rank, report in reports.items()
             }
+        return self._finalize(
+            elapsed, reports, cutoff, injector, masters, by_rank, views
+        )
 
-        bytestore = self.fh.file.bytestore
-        resume_base = sum(
-            self.workload.results.query_total_bytes(q)
-            for q in range(cfg.resume_from_query)
-        )
-        if master.serve is not None:
-            # Serve mode: only the queries actually admitted produce bytes.
-            expected = sum(
-                self.workload.results.query_total_bytes(q)
-                for q in range(master.serve.admitted)
+    def _finalize(self, elapsed, reports, cutoff, injector, masters, by_rank, views):
+        """Check the output files and collect every statistic of the run."""
+        cfg = self.config
+        serving = cfg.arrival is not None
+
+        # Each output file must tile [base, base + expected) in one gapless
+        # extent: base is the resumed prefix (plain runs only), expected
+        # the bytes of the queries its master completed locally — in serve
+        # mode only admitted queries produce bytes, and a donated slot is a
+        # zero-size placeholder whose bytes the thief's file carries.
+        total = expected_total = nextents = 0
+        dense = True
+        for shard, master, results in zip(self.shards, masters, views):
+            if serving:
+                s = master.serve
+                queries = (q for q in range(s.admitted) if q not in s.donated_q)
+            else:
+                queries = range(cfg.resume_from_query, master.cfg.nqueries)
+            expected = sum(results.query_total_bytes(q) for q in queries)
+            base = master.resume_base
+            store = shard.fh.file.bytestore
+            extents = store.extents()
+            total += store.total_bytes()
+            expected_total += expected
+            nextents += len(extents)
+            dense = dense and extents == (
+                [(base, base + expected)] if expected else []
             )
-        else:
-            expected = self.workload.results.run_total_bytes() - resume_base
-        # A fresh run must tile [0, expected); a resumed run tiles
-        # [resume_base, resume_base + expected) — one gapless extent either
-        # way.
-        dense = bytestore.extents() == (
-            [(resume_base, resume_base + expected)] if expected else []
-        )
         file_stats = FileStats(
-            total_bytes=bytestore.total_bytes(),
-            expected_bytes=expected,
-            nextents=len(bytestore.extents()),
+            total_bytes=total,
+            expected_bytes=expected_total,
+            nextents=nextents,
             dense=dense,
         )
         server_stats = {
@@ -205,13 +374,11 @@ class S3aSim:
         }
         fault_stats: dict = {}
         fault_events: list = []
-        if injector is not None or master.fault_counters or any(
-            w.fault_counters for w in workers
+        if injector is not None or any(
+            r.fault_counters for r in by_rank.values()
         ):
-            for name, value in master.fault_counters.items():
-                fault_stats[name] = fault_stats.get(name, 0.0) + float(value)
-            for worker in workers:
-                for name, value in worker.fault_counters.items():
+            for r in by_rank.values():
+                for name, value in r.fault_counters.items():
                     fault_stats[name] = fault_stats.get(name, 0.0) + float(value)
             for name, value in self.fs.fault_stats.items():
                 if value:
@@ -224,20 +391,20 @@ class S3aSim:
             if injector is not None:
                 fault_stats.update(injector.stats())
                 fault_events = list(injector.events)
-        serve_stats: dict = {}
-        if master.serve is not None:
-            serve_stats = master.serve.stats()
+
         metrics_registry = self.world.env.metrics
         if metrics_registry.enabled:
             metrics_registry.set_gauge("run.elapsed_seconds", elapsed)
-            if master.serve is not None:
-                s = master.serve
-                metrics_registry.inc("serve.offered", float(s.offered))
-                metrics_registry.inc("serve.admitted", float(s.admitted))
-                metrics_registry.inc("serve.rejected", float(s.rejected))
-                metrics_registry.inc("serve.shed", float(s.shed))
-                metrics_registry.inc("serve.completed", float(s.completed))
+            if serving:
+                # Run-wide admission counters (summed over the shards).
+                for name in ("offered", "admitted", "rejected", "shed", "completed"):
+                    metrics_registry.inc(
+                        f"serve.{name}",
+                        float(sum(getattr(m.serve, name) for m in masters)),
+                    )
             metrics_registry.set_gauge("run.nprocs", float(cfg.nprocs))
+            if self.nshards > 1:
+                metrics_registry.set_gauge("shard.masters", float(self.nshards))
         metrics = metrics_registry.snapshot()
         checker = self.world.env.check
         if checker.enabled:
@@ -251,38 +418,75 @@ class S3aSim:
                 # strict equalities only apply to runs that finished.
                 fault_free=cfg.fault_plan.empty and not cutoff,
                 open_queries=(
-                    master.serve.admitted - master.serve.completed
-                    if master.serve is not None
+                    {m.shard_id: m.serve.pending for m in masters}
+                    if serving
                     else None
                 ),
             )
-        return RunResult(
+        if self.nshards == 1:
+            return RunResult(
+                strategy=cfg.strategy,
+                query_sync=cfg.query_sync,
+                nprocs=cfg.nprocs,
+                compute_speed=cfg.compute.speed,
+                elapsed=elapsed,
+                master=reports[0],
+                workers=[reports[r] for r in range(1, cfg.nprocs)],
+                file_stats=file_stats,
+                server_stats=server_stats,
+                fault_stats=fault_stats,
+                fault_events=fault_events,
+                metrics=metrics,
+                serve_stats=masters[0].serve.stats() if serving else {},
+            )
+        shard_reports = [[reports[r] for r in shard.ranks] for shard in self.shards]
+        return ShardedRunResult(
             strategy=cfg.strategy,
             query_sync=cfg.query_sync,
             nprocs=cfg.nprocs,
+            nshards=self.nshards,
             compute_speed=cfg.compute.speed,
             elapsed=elapsed,
-            master=reports[0],
-            workers=[reports[r] for r in range(1, cfg.nprocs)],
             file_stats=file_stats,
             server_stats=server_stats,
-            fault_stats=fault_stats,
-            fault_events=fault_events,
+            serve_stats=_merged_serve_stats(masters) if serving else {},
+            shard_serve_stats=[m.serve.stats() for m in masters] if serving else [],
             metrics=metrics,
-            serve_stats=serve_stats,
+            shard_elapsed=[max(r.total for r in rs) for rs in shard_reports],
+            shard_reports=shard_reports,
         )
 
 
+def _merged_serve_stats(masters: List[Master]) -> Dict[str, float]:
+    """Run-wide serve summary of a sharded run: summed counters, latency
+    percentiles of the merged histograms, steal traffic and imbalance."""
+    merged = masters[0].serve.latency_summary()
+    for master in masters[1:]:
+        merged = merged.merged(master.serve.latency_summary())
+    completions = [float(m.serve.completed) for m in masters]
+    mean = sum(completions) / len(completions)
+    completed = sum(completions)
+    no_data = float("nan")
+    return {
+        "masters": float(len(masters)),
+        "offered": float(sum(m.serve.offered for m in masters)),
+        "admitted": float(sum(m.serve.admitted for m in masters)),
+        "rejected": float(sum(m.serve.rejected for m in masters)),
+        "shed": float(sum(m.serve.shed for m in masters)),
+        "completed": completed,
+        "pending": float(sum(m.serve.pending for m in masters)),
+        "donated": float(sum(m.serve.donated for m in masters)),
+        "steals": float(sum(m.serve.stolen for m in masters)),
+        "imbalance": (max(completions) / mean) if mean else 0.0,
+        "latency_mean_s": merged.mean if completed else no_data,
+        "latency_p50_s": merged.quantile(0.50) if completed else no_data,
+        "latency_p95_s": merged.quantile(0.95) if completed else no_data,
+        "latency_p99_s": merged.quantile(0.99) if completed else no_data,
+        "latency_max_s": merged.max if completed else no_data,
+    }
+
+
 def run_simulation(config: SimulationConfig):
-    """Convenience one-shot: build and run.
-
-    Dispatches on ``config.shard``: a multi-master configuration runs
-    through :func:`repro.shard.group.run_sharded` and returns a
-    :class:`~repro.shard.group.ShardedRunResult`; everything else takes
-    the single-master path and returns a plain :class:`RunResult`.
-    """
-    if config.shard is not None and config.shard.nshards > 1:
-        from ..shard.group import run_sharded
-
-        return run_sharded(config)
+    """Convenience one-shot: build and run (a :class:`RunResult`, or a
+    :class:`ShardedRunResult` for a multi-shard configuration)."""
     return S3aSim(config).run()

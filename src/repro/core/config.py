@@ -101,9 +101,11 @@ class SimulationConfig:
 
     #: Multi-master sharding (``repro.shard``): partition the ranks into
     #: ``shard.nshards`` master+worker pools that share the network and
-    #: PVFS volume, with query placement at admission and work-stealing
-    #: between masters.  ``None`` (the default) is the single-master
-    #: runner, bit-identical to the seed.
+    #: PVFS volume.  In serve mode, queries are placed at admission and
+    #: masters may steal work; a closed batch (hybrid query/database
+    #: segmentation) gives each pool a contiguous query block.  ``None``
+    #: (the default) is the single-master runner, bit-identical to the
+    #: seed.
     shard: Optional[ShardConfig] = None
 
     #: Read the database fragment from the shared volume before the first
@@ -168,17 +170,30 @@ class SimulationConfig:
                     "serve mode does not compose with fault injection yet"
                 )
         if self.shard is not None and self.shard.nshards > 1:
+            nshards = self.shard.nshards
             if self.arrival is None:
+                if self.shard.placement != "range" or self.shard.steal:
+                    raise ValueError(
+                        "a multi-shard closed batch splits the queries into "
+                        "contiguous blocks: it needs placement='range' and "
+                        "steal=False (hash placement and work stealing "
+                        "require serve mode: set arrival)"
+                    )
+                if self.nqueries < nshards:
+                    raise ValueError(
+                        f"{nshards} shards need at least {nshards} queries "
+                        "(one query block each)"
+                    )
+            if self.nprocs < 2 * nshards:
                 raise ValueError(
-                    "multi-master sharding requires serve mode (set "
-                    "arrival): batch workloads have a static task list "
-                    "with nothing to place or steal"
+                    f"{nshards} shards need at least {2 * nshards} "
+                    "processes (1 master + >= 1 worker each)"
                 )
-            if self.nprocs < 2 * self.shard.nshards:
+            if self.resume_from_query != 0:
+                raise ValueError("multi-shard runs cannot resume a partial run")
+            if not self.fault_plan.empty:
                 raise ValueError(
-                    f"{self.shard.nshards} shards need at least "
-                    f"{2 * self.shard.nshards} processes (1 master + "
-                    ">= 1 worker each)"
+                    "multi-shard runs do not compose with fault injection yet"
                 )
         for crash in self.fault_plan.worker_crashes:
             if not 1 <= crash.rank < self.nprocs:

@@ -467,13 +467,8 @@ class Master:
         name = self.chosen.get(q)
         if name is not None:
             return name
-        content = (
-            self.serve.content.get(q, q) if self.serve is not None else q
-        )
         name = self.selector.choose(
-            q,
-            content=content,
-            outstanding_faults=len(self.dead) + len(self.reissue),
+            q, outstanding_faults=len(self.dead) + len(self.reissue)
         )
         self.chosen[q] = name
         env = self.comm.env

@@ -80,7 +80,7 @@ class Worker:
         #: eventual offset entries are written with the matching method.
         self.adaptive = cfg.adaptive
         self.task_strategy: Dict[Tuple[int, int], str] = {}
-        #: Shard index, for checker ledger keys (MasterGroup overrides).
+        #: Shard index, for checker ledger keys (set by the run assembler).
         self.shard_id = 0
         # -- fragment preload -------------------------------------------------
         #: Database file handle; when set, the worker reads a fragment's

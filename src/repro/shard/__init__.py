@@ -1,9 +1,11 @@
-"""Multi-master sharding: ``MasterGroup`` and its placement/steal policy.
+"""Multi-master sharding: shard layout, placement and steal policy.
 
 ``ShardConfig`` lives in :mod:`repro.shard.state` and is imported eagerly
-(:mod:`repro.core.config` needs it at class-definition time); the runner
-side (:class:`MasterGroup` et al.) imports :mod:`repro.core` back, so it
-loads lazily to keep the import graph acyclic.
+(:mod:`repro.core.config` needs it at class-definition time).  The runner
+is :class:`repro.core.app.S3aSim`, which builds every run, sharded or not;
+``MasterGroup`` is its historical name.  Both it and
+:class:`~repro.core.report.ShardedRunResult` load lazily, because
+:mod:`repro.core` imports this package back.
 """
 
 from .state import PLACEMENTS, ShardConfig, partition_ranks, place
@@ -15,15 +17,16 @@ __all__ = [
     "place",
     "MasterGroup",
     "ShardedRunResult",
-    "run_sharded",
 ]
-
-_LAZY = {"MasterGroup", "ShardedRunResult", "run_sharded"}
 
 
 def __getattr__(name):
-    if name in _LAZY:
-        from . import group
+    if name == "MasterGroup":
+        from ..core.app import S3aSim
 
-        return getattr(group, name)
+        return S3aSim
+    if name == "ShardedRunResult":
+        from ..core.report import ShardedRunResult
+
+        return ShardedRunResult
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

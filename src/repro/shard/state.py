@@ -4,7 +4,7 @@ A sharded run partitions the MPI world into ``nshards`` contiguous rank
 blocks; each block runs one independent master (its rank 0) plus a worker
 pool, all sharing the simulated network and PVFS volume.  Placement
 decides, at the arrival instant, which shard admits a query; the
-work-stealing protocol (see :mod:`repro.shard.group`) rebalances later if
+work-stealing protocol (see :mod:`repro.core.app`) rebalances later if
 placement turns out skewed.
 
 Placement consumes no randomness — it is a pure function of the global

@@ -117,13 +117,15 @@ class TestSelector:
         assert sel.choose(1) == "ww-list"
 
     def test_content_id_overrides_slot_id(self):
-        """Sharded serve mode: the slot id differs from the workload
-        content id; the estimate must follow the content."""
-        sel = StrategySelector(
-            FakeResults({7: 1, 0: 2000}), FakeFs(), nworkers=4
-        )
-        assert sel.choose(0, content=7) == "mw"
-        assert sel.results.asked == [7]
+        """Multi-shard runs: the master's slot id differs from the global
+        query; the shard's results view translates, so the estimate
+        follows the content."""
+        from repro.core.app import _ShardResults
+
+        results = FakeResults({7: 1, 0: 2000})
+        sel = StrategySelector(_ShardResults(results, {0: 7}), FakeFs(), nworkers=4)
+        assert sel.choose(0) == "mw"
+        assert results.asked == [7]
 
     def test_queue_depth_is_mean_over_servers(self):
         sel = StrategySelector(

@@ -11,11 +11,10 @@ actually steal when placement is skewed.
 import pytest
 
 from repro.analysis import masters_sweep
-from repro.core import S3aSim, SimulationConfig
+from repro.core import S3aSim, SimulationConfig, get_scenario
 from repro.core.app import run_simulation
 from repro.serve import ArrivalConfig
-from repro.shard import PLACEMENTS, ShardConfig, partition_ranks, place
-from repro.shard.group import MasterGroup, run_sharded
+from repro.shard import PLACEMENTS, MasterGroup, ShardConfig, partition_ranks, place
 
 #: Seed completion times (tests/obs/test_determinism.py owns these).
 GOLDEN = {
@@ -51,7 +50,7 @@ class TestUnsharded:
         cfg = SimulationConfig(strategy=strategy, check=True, **SMALL)
         assert run_simulation(cfg).elapsed == GOLDEN[strategy]
         single = cfg.with_(shard=ShardConfig(nshards=1))
-        assert run_sharded(single).elapsed == GOLDEN[strategy]
+        assert run_simulation(single).elapsed == GOLDEN[strategy]
 
     def test_single_shard_serve_matches_unsharded(self):
         arrival = ArrivalConfig(process="poisson", rate=10.0, max_pending=8)
@@ -60,7 +59,7 @@ class TestUnsharded:
             check=True, arrival=arrival,
         )
         plain = S3aSim(base).run()
-        single = run_sharded(base.with_(shard=ShardConfig(nshards=1)))
+        single = run_simulation(base.with_(shard=ShardConfig(nshards=1)))
         assert single.elapsed == plain.elapsed
         assert single.serve_stats == plain.serve_stats
 
@@ -187,6 +186,27 @@ class TestShardedRuns:
         assert result.elapsed == 1.0
         if not s["completed"]:
             assert s["latency_p99_s"] != s["latency_p99_s"]  # NaN
+
+    def test_master_group_is_the_one_assembler(self):
+        assert MasterGroup is S3aSim
+
+    def test_preload_scenario_reads_fragments(self):
+        cfg = get_scenario("preload", sharded_config(masters=2)).with_(
+            collect_metrics=True
+        )
+        result = run_simulation(cfg)
+        assert result.file_stats.complete
+        assert result.metrics.counter_total("app.fragments_preloaded") > 0
+
+    def test_serve_counters_are_run_wide(self):
+        cfg = sharded_config(masters=2).with_(collect_metrics=True)
+        result = run_simulation(cfg)
+        snapshot = result.metrics
+        for name in ("offered", "admitted", "rejected", "shed", "completed"):
+            assert (
+                snapshot.counter_total(f"serve.{name}")
+                == result.serve_stats[name]
+            )
 
     def test_metrics_expose_steal_counters(self):
         cfg = sharded_config(masters=2, placement="range").with_(
