@@ -78,7 +78,27 @@ class RatioCheck:
 
     def within(self, factor_tolerance: float = 2.0) -> bool:
         """Shape test: measured slow-down factor within ``factor_tolerance``×
-        of the paper's, and the same sign (slower than WW-List)."""
+        of the paper's, and the same sign (slower than WW-List).
+
+        The band is on *factors* (``1 + pct/100``), not on percentages.
+        With the tolerance ``t`` the benchmark uses (2.5), a cell passes
+        when WW-List is measured ahead and the measured factor lies in
+        ``[paper/t, paper*t]``.  What that establishes depends on the
+        paper's factor:
+
+        * MW cells (paper factor 2.8-6.9): the lower edge is above 1, so
+          the check bounds the size of the gap as well as its sign.
+        * WW-POSIX and WW-Coll cells (paper factor 1.13-1.98): the lower
+          edge ``paper/2.5`` is below 1, so any lead at all passes.  The
+          check establishes the ordering only, not the size: Fig5 ww-coll
+          no-sync passes at +6% against the paper's +98%.  The upper edge
+          is loose too: Fig5 ww-posix no-sync passes at +196% against
+          +32% (up to +230% would pass).
+
+        So an OK on those cells means "WW-List wins", never "by about the
+        paper's margin"; ``tests/integration/test_paper_shapes.py`` checks
+        the endpoint margins directly.
+        """
         if self.paper_factor <= 1.0:
             return self.measured_factor <= 1.0 * factor_tolerance
         if self.measured_pct <= 0:

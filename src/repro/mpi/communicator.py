@@ -162,7 +162,9 @@ class _Send:
     yielded, and every ``schedule`` call happens in the order the process
     made it: the same eids, hence the same ``(time, priority, eid)`` order
     and bit-identical results.  The one event dropped is the process's
-    completion event, which had no callbacks.
+    completion event, which had no callbacks.  NIC holds go through
+    :class:`~repro.sim.resources.Lane`, whose one event per hold stands
+    for the grant and the timeout of a ``Resource`` (see its docstring).
     """
 
     __slots__ = ("comm", "env", "src", "dst", "tag", "nbytes", "payload", "seq", "request")
@@ -225,13 +227,16 @@ class _ShortSend(_Send):
 class _EagerSend(_Send):
     """Eager send: TX serialization, wire latency, RX serialization.
 
-    The sender is locally complete once its first TX ends (the payload is
-    buffered at the receiver).  With :class:`LinkFaults` installed a
-    crossing may be dropped: the sender backs off, pays a fresh TX and
-    crosses again, until the retry budget runs out.
+    The steps: start (URGENT, where a process's Initialize fired) → hold
+    the sender's TX lane → wire latency → hold the receiver's RX lane →
+    land.  The sender is locally complete once its first TX hold ends
+    (the payload is buffered at the receiver).  With :class:`LinkFaults`
+    installed a crossing may be dropped: the sender backs off, queues a
+    fresh TX hold behind whatever the lane holds by then, and crosses
+    again, until the retry budget runs out.
     """
 
-    __slots__ = ("network", "gsrc", "gdst", "tx_nic", "rx_nic", "hold_s", "slot", "attempt")
+    __slots__ = ("network", "gsrc", "gdst", "tx_nic", "rx_nic", "hold_s", "attempt")
 
     def __init__(self, comm, src, dst, tag, nbytes, payload, seq, request):
         network = comm.network
@@ -242,22 +247,15 @@ class _EagerSend(_Send):
         self.rx_nic = network.nic(self.gdst)
         config = network.config
         self.hold_s = config.serialization_time(nbytes) + config.cpu_overhead_s
-        self.slot = None
         self.attempt = 0
         super().__init__(comm, src, dst, tag, nbytes, payload, seq, request)
 
-    # -- TX: claim the sender's channel, serialize, release -------------------
+    # -- TX: serialize on the sender's lane -----------------------------------
     def _start(self, _event: Event) -> None:
-        self.slot = slot = self.tx_nic.tx.request()
-        slot.callbacks.append(self._tx_granted)
-
-    def _tx_granted(self, _event: Event) -> None:
-        Timeout(self.env, self.hold_s).callbacks.append(self._tx_done)
+        self.tx_nic.tx.hold(self.hold_s).callbacks.append(self._tx_done)
 
     def _tx_done(self, _event: Event) -> None:
-        nic = self.tx_nic
-        nic.tx.release(self.slot)
-        self.network.count_tx(nic, self.gsrc, self.nbytes)
+        self.network.count_tx(self.tx_nic, self.gsrc, self.nbytes)
         if not self.attempt:
             self.request._complete()
         Timeout(self.env, self.network.config.latency_s).callbacks.append(self._crossed)
@@ -267,8 +265,7 @@ class _EagerSend(_Send):
         network = self.network
         spec = network._dropped_by(self.gsrc, self.gdst, self.nbytes)
         if spec is None:
-            self.slot = slot = self.rx_nic.rx.request()
-            slot.callbacks.append(self._rx_granted)
+            self.rx_nic.rx.hold(self.hold_s).callbacks.append(self._rx_done)
             return
         self.attempt += 1
         try:
@@ -288,14 +285,9 @@ class _EagerSend(_Send):
         self.network._count_retransmit(self.gsrc, self.gdst)
         self._start(_event)
 
-    # -- RX: claim the receiver's channel, serialize, land --------------------
-    def _rx_granted(self, _event: Event) -> None:
-        Timeout(self.env, self.hold_s).callbacks.append(self._rx_done)
-
+    # -- RX: serialize on the receiver's lane, land ---------------------------
     def _rx_done(self, _event: Event) -> None:
-        nic = self.rx_nic
-        nic.rx.release(self.slot)
-        self.network.count_rx(nic, self.gdst, self.nbytes)
+        self.network.count_rx(self.rx_nic, self.gdst, self.nbytes)
         self._land("eager")
 
 

@@ -4,15 +4,16 @@ The model is deliberately first-order but captures the contention structure
 that drives the paper's results:
 
 * every rank owns a NIC with one transmit (TX) and one receive (RX) channel,
-  each a unit-capacity :class:`~repro.sim.resources.Resource` — concurrent
-  messages to/from the same rank serialize (this is what makes the
-  master-writing strategy a funnel);
+  each a :class:`~repro.sim.resources.Lane` (FIFO, capacity 1, one event
+  per hold) — concurrent messages to/from the same rank serialize (this
+  is what makes the master-writing strategy a funnel);
 * a point-to-point transfer costs ``latency + nbytes / bandwidth`` on the
   wire plus per-message CPU overhead on both ends;
 * an optional fabric capacity bounds the number of full-rate transfers in
   flight (crude bisection-bandwidth stand-in; unlimited by default, as
   Myrinet-2000 on <100 nodes was far from bisection-limited for this
-  workload).
+  workload).  It is a :class:`~repro.sim.resources.Resource`, not a lane:
+  its slot spans TX, propagation and RX.
 
 Defaults correspond to the Feynman cluster's Myrinet-2000 interconnect.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..sim import Environment, Resource, SimulationError
+from ..sim import Environment, Lane, Resource, SimulationError
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -169,12 +170,12 @@ class Nic:
 
     def __init__(self, env: Environment, nic_id: int) -> None:
         self.nic_id = nic_id
-        self.tx = Resource(env, capacity=1)
-        self.rx = Resource(env, capacity=1)
+        self.tx = Lane(env)
+        self.rx = Lane(env)
         self.stats = NicStats()
 
     def __repr__(self) -> str:
-        return f"<Nic id={self.nic_id} tx_q={len(self.tx.queue)} rx_q={len(self.rx.queue)}>"
+        return f"<Nic id={self.nic_id} tx_q={self.tx.queued} rx_q={self.rx.queued}>"
 
 
 class Network:
@@ -237,21 +238,17 @@ class Network:
     def occupy_tx(self, src: int, nbytes: int):
         """Process fragment: hold src's TX channel for the wire time."""
         nic = self.nic(src)
-        with nic.tx.request() as req:
-            yield req
-            yield self.env.timeout(
-                self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
-            )
+        yield nic.tx.hold(
+            self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
+        )
         self.count_tx(nic, src, nbytes)
 
     def occupy_rx(self, dst: int, nbytes: int):
         """Process fragment: hold dst's RX channel for the wire time."""
         nic = self.nic(dst)
-        with nic.rx.request() as req:
-            yield req
-            yield self.env.timeout(
-                self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
-            )
+        yield nic.rx.hold(
+            self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
+        )
         self.count_rx(nic, dst, nbytes)
 
     def wire_latency(self):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sim import Environment, Event, Resource, SimulationError
+from ..sim import Environment, Event, Lane, SimulationError
 from ..mpi.network import NetworkConfig, Nic, KIB, MIB
 from .bytestore import ByteStore
 from .disk import DiskModel
@@ -222,7 +222,7 @@ class FileSystem:
         # Fallback per-client serialization when no NIC is wired in: the
         # client pipeline is a host-wide bottleneck, so concurrent
         # subrequests from one client must not each get full rate.
-        self._client_locks: Dict[int, "Resource"] = {}
+        self._client_locks: Dict[int, Lane] = {}
         # Pristine disk models, kept so a degradation window can be lifted
         # exactly (degrade_server compounds and is permanent by design).
         self._pristine_disks: List[DiskModel] = [s.disk for s in self.servers]
@@ -552,15 +552,12 @@ class FileSystem:
         seconds = nbytes / rate + net.cpu_overhead_s
         nic = self._client_nic(client) if self._client_nic is not None else None
         if nic is None:
-            if client not in self._client_locks:
-                self._client_locks[client] = Resource(self.env, capacity=1)
-            with self._client_locks[client].request() as slot:
-                yield slot
-                yield self.env.timeout(seconds)
+            lane = self._client_locks.get(client)
+            if lane is None:
+                lane = self._client_locks[client] = Lane(self.env)
+            yield lane.hold(seconds)
         else:
-            with nic.tx.request() as slot:
-                yield slot
-                yield self.env.timeout(seconds)
+            yield nic.tx.hold(seconds)
             nic.stats.tx_messages += 1
             nic.stats.tx_bytes += nbytes
             m = self.env.metrics
@@ -608,17 +605,13 @@ class FileSystem:
             yield from self._client_tx(client, header)
             yield self.env.timeout(net.latency_s)
             yield from server.service_write(phys_regions, is_read=True)
-            with server.net_out.request() as slot:
-                yield slot
-                yield self.env.timeout(net.serialization_time(nbytes))
+            yield server.net_out.hold(net.serialization_time(nbytes))
             yield self.env.timeout(net.latency_s)
         else:
             # Header + payload out, small ack back.
             yield from self._client_tx(client, header + nbytes)
             yield self.env.timeout(net.latency_s)
-            with server.net_in.request() as slot:
-                yield slot
-                yield self.env.timeout(net.serialization_time(header + nbytes))
+            yield server.net_in.hold(net.serialization_time(header + nbytes))
             yield from server.service_write(phys_regions, is_read=False)
             yield self.env.timeout(net.latency_s)
 
@@ -722,13 +715,9 @@ class FileSystem:
             if previous is not None:
                 # Store-and-forward hop: the forwarder serializes the copy
                 # out of its NIC before the receiver takes it in.
-                with previous.net_out.request() as out_slot:
-                    yield out_slot
-                    yield self.env.timeout(net.serialization_time(header + nbytes))
+                yield previous.net_out.hold(net.serialization_time(header + nbytes))
                 yield self.env.timeout(net.latency_s)
-            with member.net_in.request() as in_slot:
-                yield in_slot
-                yield self.env.timeout(net.serialization_time(header + nbytes))
+            yield member.net_in.hold(net.serialization_time(header + nbytes))
             yield from member.service_write(
                 StripingLayout.replica_regions(phys_regions, slot), is_read=False
             )
@@ -793,9 +782,7 @@ class FileSystem:
         yield from self._client_tx(client, header)
         yield self.env.timeout(net.latency_s)
         yield from member.service_write(regions_r, is_read=True)
-        with member.net_out.request() as out_slot:
-            yield out_slot
-            yield self.env.timeout(net.serialization_time(nbytes))
+        yield member.net_out.hold(net.serialization_time(nbytes))
         yield self.env.timeout(net.latency_s)
 
     def _await_replica_set(self, chain: List[int]):

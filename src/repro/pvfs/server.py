@@ -1,17 +1,22 @@
 """PVFS2 I/O server and metadata server models.
 
 An I/O server has three contention points: an inbound network channel
-(unit-capacity resource — concurrent clients serialize their data streams
-into the server), an outbound network channel (read responses serialize
-out, mirroring the NIC's TX/RX duplex split), and the disk (unit-capacity,
-serviced via :class:`~repro.pvfs.disk.DiskModel` with persistent head
-tracking).  The disk is optionally fronted by the pluggable server-side
+(a :class:`~repro.sim.resources.Lane` — concurrent clients serialize
+their data streams into the server), an outbound network channel (a lane
+too: read responses serialize out, mirroring the NIC's TX/RX duplex
+split), and the disk (a unit-capacity
+:class:`~repro.sim.resources.Resource`, serviced via
+:class:`~repro.pvfs.disk.DiskModel` with persistent head tracking — the
+service time depends on where the head is when the disk is granted, so
+it is not known when the request is made and the disk cannot be a
+lane).  The disk is optionally fronted by the pluggable server-side
 I/O stack: a reordering :class:`~repro.pvfs.sched.DiskQueue` (``fifo`` /
 ``elevator``) and a :class:`~repro.pvfs.cache.WriteBackCache`.  With the
 default configuration (FIFO, cache off) neither is constructed and the
 request path is the seed's, event for event.
 
-The metadata server serves open/create/resize ops with a fixed cost.
+The metadata server serves open/create/resize ops with a fixed cost on
+one lane.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..sim import Environment, Resource
+from ..sim import Environment, Lane, Resource
 from . import extents
 from .cache import ABSORB_REGION_S, WriteBackCache
 from .disk import DiskModel
@@ -79,8 +84,8 @@ class IOServer:
         self.env = env
         self.server_id = server_id
         self.disk = disk
-        self.net_in = Resource(env, capacity=1)
-        self.net_out = Resource(env, capacity=1)
+        self.net_in = Lane(env)
+        self.net_out = Lane(env)
         self.disk_res = Resource(env, capacity=1)
         self.head_position = 0
         self.stats = ServerStats()
@@ -480,7 +485,7 @@ class MetadataServer:
             raise ValueError("op_cost_s must be non-negative")
         self.env = env
         self.op_cost_s = op_cost_s
-        self.queue = Resource(env, capacity=1)
+        self.queue = Lane(env)
         self.ops = 0
         m = env.metrics
         self._m_enabled = m.enabled
@@ -490,12 +495,10 @@ class MetadataServer:
     def operation(self):
         """Process fragment: one metadata operation (create/open/stat)."""
         entered = self.env.now
-        with self.queue.request() as slot:
-            yield slot
-            yield self.env.timeout(self.op_cost_s)
-            self.ops += 1
-            if self._m_enabled:
-                self._c_ops.add()
-                # Queueing included: contention on the single metadata
-                # daemon is exactly what this histogram is for.
-                self._h_service.observe(self.env.now - entered)
+        yield self.queue.hold(self.op_cost_s)
+        self.ops += 1
+        if self._m_enabled:
+            self._c_ops.add()
+            # Queueing included: contention on the single metadata
+            # daemon is exactly what this histogram is for.
+            self._h_service.observe(self.env.now - entered)

@@ -10,14 +10,7 @@ from .environment import Environment
 from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Join, Timeout
 from .process import Process
-from .resources import (
-    Container,
-    PriorityRequest,
-    PriorityResource,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Lane, Request, Resource, Store
 from .rng import RandomStreams
 
 __all__ = [
@@ -25,14 +18,12 @@ __all__ = [
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "EmptySchedule",
     "Environment",
     "Event",
     "Interrupt",
     "Join",
-    "PriorityRequest",
-    "PriorityResource",
+    "Lane",
     "Process",
     "RandomStreams",
     "Request",

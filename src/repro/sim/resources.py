@@ -1,16 +1,19 @@
-"""Shared-resource primitives: Resource, PriorityResource, Container, Store.
+"""Shared-resource primitives: Resource, Lane, Store.
 
 These model contention points in the simulated system — NICs, disk heads,
-server request queues — in the classic request/release style.  Request and
-get/put operations are events, so processes simply ``yield`` them; requests
-also work as context managers for exception-safe release.
+server request queues.  :class:`Resource` is the classic request/release
+slot pool: a request is an event that a process yields, and it works
+as a context manager for exception-safe release.  :class:`Lane` is
+the cheaper special case the model's serial channels need: FIFO,
+capacity 1, and a hold whose length is known when it is asked for, so
+one event per hold replaces a grant event plus a timeout.
+:class:`Store` is a buffer of Python objects with filtered gets.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from itertools import count
+from heapq import heappush
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -19,14 +22,16 @@ from typing import (
     Generic,
     List,
     Optional,
+    Tuple,
     TypeVar,
 )
 
-from .errors import SimulationError
-from .events import Event
+from .events import NORMAL, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .environment import Environment
+
+_INF = float("inf")
 
 T = TypeVar("T")
 
@@ -118,126 +123,80 @@ class Resource:
             nxt.succeed()
 
 
-class PriorityRequest(Request):
-    """A claim with a priority (lower value = more important)."""
+class Lane:
+    """A FIFO, capacity-1 channel whose holds have a known length.
 
-    __slots__ = ("priority", "_order")
+    ``hold(seconds)`` queues one hold and returns the event that fires
+    when it ends; there is no request object, no grant event and no
+    release call.  Holds run one at a time in the order they were asked
+    for and end at the instants ``request`` / ``timeout(seconds)`` /
+    ``release`` on a ``Resource(capacity=1)`` would end them.  The lane is
+    lazy so that every event lands where that cycle put it:
 
-    def __init__(self, resource: "PriorityResource", priority: int = 0) -> None:
-        self.priority = priority
-        self._order = next(resource._counter)
-        super().__init__(resource)
+    * an idle lane schedules the done event at ``now + seconds`` at once
+      (where the grant would have fired and started the timeout);
+    * a busy lane queues ``(seconds, done)``.  The first callback of every
+      done event is the lane's own :meth:`_free`, which starts the next
+      queued hold at ``now + its seconds`` before the holder's callbacks
+      run — where ``Resource.release`` would have granted it.
 
-    def _key(self):
-        return (self.priority, self._order)
+    Only the done event's insertion id is drawn earlier than the
+    timeout's was (at the request or the free-up, not at the grant), so
+    an event scheduled in between for the very same instant can swap
+    order with it.  ``tests/integration/test_perf_digests.py`` shows that
+    no benchmark workload has such a tie.
 
+    A hold cannot be cancelled or cut short.  A process interrupted while
+    it waits on a hold stops waiting, but the hold still occupies the
+    lane to its end (a ``Resource`` would free the slot at once).  The
+    simulator never interrupts a process that holds a lane: the fault
+    injector interrupts only worker processes, and their lane traffic runs
+    in callback state machines and helper processes.
+    """
 
-class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is ordered by priority."""
+    __slots__ = ("env", "_busy", "_waiting")
 
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        self._counter = count()
-        super().__init__(env, capacity)
-        self._heap: List[tuple] = []
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self.capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            heapq.heappush(self._heap, (*request._key(), request))  # type: ignore[attr-defined]
-            self.queue.append(request)
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            return
-        self._heap = [entry for entry in self._heap if entry[2] is not request]
-        heapq.heapify(self._heap)
-
-    def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            _, _, nxt = heapq.heappop(self._heap)
-            if nxt not in self.queue:
-                continue
-            self.queue.remove(nxt)
-            self.users.append(nxt)
-            nxt.succeed()
-            return
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._update()
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._update()
-
-
-class Container:
-    """A homogeneous bulk quantity (bytes of buffer space, credits, ...)."""
-
-    def __init__(
-        self, env: "Environment", capacity: float = float("inf"), init: float = 0.0
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not (0 <= init <= capacity):
-            raise ValueError("init must lie in [0, capacity]")
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._get_waiters: List[ContainerGet] = []
-        self._put_waiters: List[ContainerPut] = []
+        self._busy = False
+        self._waiting: Deque[Tuple[float, Event]] = deque()
+
+    def __repr__(self) -> str:
+        return f"<Lane busy={self._busy} queued={len(self._waiting)}>"
 
     @property
-    def level(self) -> float:
-        return self._level
+    def busy(self) -> bool:
+        """True while a hold is running."""
+        return self._busy
 
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
+    @property
+    def queued(self) -> int:
+        """Holds waiting behind the running one."""
+        return len(self._waiting)
 
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
+    def hold(self, seconds: float) -> Event:
+        """Occupy the lane for ``seconds`` after the holds queued before
+        this one; the returned event fires when this hold ends."""
+        if self._busy:
+            if not 0.0 <= seconds < _INF:
+                raise ValueError(f"hold must be finite and >= 0, got {seconds!r}")
+            done = Event(self.env)
+            done.callbacks.append(self._free)  # type: ignore[union-attr]
+            self._waiting.append((seconds, done))
+            return done
+        done = Timeout(self.env, seconds)
+        done.callbacks.append(self._free)
+        self._busy = True
+        return done
 
-    def _update(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_waiters:
-                put = self._put_waiters[0]
-                if self._level + put.amount <= self.capacity:
-                    self._put_waiters.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_waiters:
-                get = self._get_waiters[0]
-                if self._level >= get.amount:
-                    self._get_waiters.pop(0)
-                    self._level -= get.amount
-                    get.succeed()
-                    progressed = True
+    def _free(self, _event: Event) -> None:
+        if not self._waiting:
+            self._busy = False
+            return
+        seconds, done = self._waiting.popleft()
+        done._value = None
+        env = self.env
+        heappush(env._queue, (env._now + seconds, NORMAL, next(env._eid), done))
 
 
 class StoreGet(Event):

@@ -148,6 +148,18 @@ class TestRatioCheck:
         tie = RatioCheck("Fig5@25.6x", "ww-coll", True, paper_pct=58, measured_pct=0)
         assert not tie.within(2.5)
 
+    def test_small_paper_factor_checks_sign_not_size(self):
+        """Below a paper factor of 2.5 any measured lead passes a 2.5x
+        band; only MW's large factors also bound the size."""
+        coll = RatioCheck("Fig5@25.6x", "ww-coll", False, paper_pct=98, measured_pct=6)
+        assert coll.within(2.5)
+        assert RatioCheck("x", "ww-coll", False, paper_pct=98, measured_pct=0.1).within(2.5)
+        posix = RatioCheck("Fig5@25.6x", "ww-posix", False, paper_pct=32, measured_pct=196)
+        assert posix.within(2.5)
+        assert not RatioCheck("x", "ww-posix", False, paper_pct=32, measured_pct=231).within(2.5)
+        mw = RatioCheck("Fig5@25.6x", "mw", False, paper_pct=592, measured_pct=100)
+        assert not mw.within(2.5)
+
     def test_factors(self):
         check = RatioCheck("x", "mw", False, paper_pct=100, measured_pct=50)
         assert check.paper_factor == pytest.approx(2.0)

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Container / Store."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 @pytest.fixture
@@ -107,93 +107,6 @@ class TestResource:
         p = env.process(impatient(env))
         assert env.run(p) == "gave-up"
         assert list(res.queue) == []
-
-
-class TestPriorityResource:
-    def test_priority_overrides_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, name, prio, arrive):
-            yield env.timeout(arrive)
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(10)
-
-        env.process(user(env, "holder", 0, 0))
-        env.process(user(env, "low", 5, 1))
-        env.process(user(env, "high", 1, 2))
-        env.run()
-        assert order == ["holder", "high", "low"]
-
-    def test_equal_priority_is_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, name, arrive):
-            yield env.timeout(arrive)
-            with res.request(priority=3) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(5)
-
-        env.process(user(env, "a", 0))
-        env.process(user(env, "b", 1))
-        env.process(user(env, "c", 2))
-        env.run()
-        assert order == ["a", "b", "c"]
-
-
-class TestContainer:
-    def test_init_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=11)
-
-    def test_get_blocks_until_put(self, env):
-        tank = Container(env, capacity=100, init=0)
-        got_at = []
-
-        def consumer(env):
-            yield tank.get(10)
-            got_at.append(env.now)
-
-        def producer(env):
-            yield env.timeout(4)
-            yield tank.put(10)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got_at == [4]
-        assert tank.level == 0
-
-    def test_put_blocks_at_capacity(self, env):
-        tank = Container(env, capacity=10, init=10)
-        done_at = []
-
-        def producer(env):
-            yield tank.put(5)
-            done_at.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(2)
-            yield tank.get(5)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert done_at == [2]
-        assert tank.level == 10
-
-    def test_invalid_amounts(self, env):
-        tank = Container(env, capacity=10, init=5)
-        with pytest.raises(ValueError):
-            tank.get(0)
-        with pytest.raises(ValueError):
-            tank.put(-1)
 
 
 class TestStore:
@@ -321,100 +234,6 @@ class TestStore:
         env.process(producer(env))
         env.run(until=10)
         assert winners == [("first", "only")]
-
-
-class TestPriorityResourceCancellation:
-    def test_cancel_queued_priority_request(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(5)
-
-        def quitter(env):
-            req = res.request(priority=1)
-            yield env.timeout(1)
-            req.cancel()
-            order.append("quit")
-
-        def patient(env):
-            yield env.timeout(0.5)
-            with res.request(priority=2) as req:
-                yield req
-                order.append(("patient", env.now))
-
-        env.process(holder(env))
-        env.process(quitter(env))
-        env.process(patient(env))
-        env.run()
-        # The cancelled priority-1 request never runs; priority-2 gets the
-        # slot when the holder releases at t=5.
-        assert ("patient", 5.0) in order
-        assert "quit" in order
-
-    def test_release_grants_highest_priority_waiter(self, env):
-        res = PriorityResource(env, capacity=1)
-        got = []
-
-        def user(env, name, prio, arrive):
-            yield env.timeout(arrive)
-            with res.request(priority=prio) as req:
-                yield req
-                got.append(name)
-                yield env.timeout(1)
-
-        env.process(user(env, "holder", 0, 0))
-        env.process(user(env, "low1", 9, 0.1))
-        env.process(user(env, "low2", 9, 0.2))
-        env.process(user(env, "high", 1, 0.3))
-        env.run()
-        assert got == ["holder", "high", "low1", "low2"]
-
-
-class TestContainerOrdering:
-    def test_fifo_get_waiters(self, env):
-        tank = Container(env, capacity=100, init=0)
-        served = []
-
-        def consumer(env, name, amount):
-            yield tank.get(amount)
-            served.append(name)
-
-        def producer(env):
-            yield env.timeout(1)
-            yield tank.put(30)
-
-        env.process(consumer(env, "first", 10))
-        env.process(consumer(env, "second", 10))
-        env.process(producer(env))
-        env.run()
-        assert served == ["first", "second"]
-
-    def test_big_get_blocks_later_small_get(self, env):
-        """Strict FIFO: a large waiting get holds back smaller ones."""
-        tank = Container(env, capacity=100, init=5)
-        served = []
-
-        def big(env):
-            yield tank.get(50)
-            served.append("big")
-
-        def small(env):
-            yield env.timeout(0.1)
-            yield tank.get(1)
-            served.append("small")
-
-        def producer(env):
-            yield env.timeout(1)
-            yield tank.put(50)
-
-        env.process(big(env))
-        env.process(small(env))
-        env.process(producer(env))
-        env.run(until=5)
-        assert served == ["big", "small"]
 
 
 class _ReferenceStore:
