@@ -54,7 +54,7 @@ class StrategyPolicy:
 
     ``score`` returns a comparable figure of merit for executing the query
     under ``name``; the selector picks the highest, breaking ties toward
-    the earlier entry of its candidate tuple.  Implementations must be
+    the earlier entry of :data:`CANDIDATES`.  Implementations must be
     deterministic functions of their inputs.
     """
 
@@ -127,15 +127,11 @@ class StrategySelector:
         fs,
         nworkers: int,
         policy: Optional[StrategyPolicy] = None,
-        candidates: Tuple[str, ...] = CANDIDATES,
     ) -> None:
-        if not candidates:
-            raise ValueError("need at least one candidate strategy")
         self.results = results
         self.fs = fs
         self.nworkers = nworkers
         self.policy = policy if policy is not None else ScoredPolicy()
-        self.candidates = tuple(candidates)
         #: query id -> chosen strategy name (the selector's own ledger).
         self.choices: Dict[int, str] = {}
 
@@ -164,9 +160,9 @@ class StrategySelector:
         if prior is not None:
             return prior
         signals = self.signals_for(query_id, outstanding_faults)
-        best = self.candidates[0]
+        best = CANDIDATES[0]
         best_score = self.policy.score(best, signals)
-        for name in self.candidates[1:]:
+        for name in CANDIDATES[1:]:
             score = self.policy.score(name, signals)
             if score > best_score:
                 best, best_score = name, score

@@ -16,6 +16,9 @@ and layout laws that every layer must uphold on every run:
   overlap, and consecutive query blocks abut exactly (the ledger law).
 * **Trace well-formedness** — every interval closes, lies within the run,
   and no two intervals of one ``(rank, state)`` row overlap.
+* **Strategy ledger** — in every run, static or hybrid-auto, each query's
+  chosen strategy (fixed at its first assignment), the strategy its write
+  path executed and the one stamped into the trace agree.
 
 This module follows the :mod:`repro.obs` pattern exactly: the
 :class:`~repro.sim.environment.Environment` carries :data:`NULL_CHECKER`
@@ -269,9 +272,10 @@ class InvariantChecker:
         # ends as completed, shed, donated, or still-open at run end.
         self.arrivals: Dict[str, int] = dict(_EMPTY_ARRIVALS)
         self.shard_arrivals: Dict[int, Dict[str, int]] = {}
-        # Per-query strategy ledgers (hybrid-auto runs only): the name the
-        # selector chose, the name the write path actually executed, and
-        # the name stamped into the trace, keyed by (shard, query).  All
+        # Per-query strategy ledgers (every run): the name the master chose
+        # (a static run's own strategy, or hybrid-auto's selector pick), the
+        # name the write path actually executed, and the name stamped into
+        # the trace, keyed by (shard, query).  All
         # three must agree — checked incrementally (a second record with a
         # different name fails on the spot) and again at finalize.
         self.strategy_chosen_by: Dict[Tuple[int, int], str] = {}
@@ -692,7 +696,7 @@ class InvariantChecker:
                 **self.arrivals,
             )
 
-    # -- adaptive-strategy ledger (hybrid-auto) ------------------------------
+    # -- per-query strategy ledger (every run) -------------------------------
     def _strategy_record(
         self,
         ledger: Dict[Tuple[int, int], str],
@@ -718,7 +722,8 @@ class InvariantChecker:
             )
 
     def strategy_chosen(self, query_id: int, name: str, shard: int = 0) -> None:
-        """The selector picked ``name`` for the query (once, at the master)."""
+        """The master chose ``name`` for the query (once, at its first
+        assignment; a static run always chooses its own strategy)."""
         self._strategy_record(
             self.strategy_chosen_by, "chosen", query_id, name, shard
         )

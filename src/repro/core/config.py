@@ -266,11 +266,14 @@ class SimulationConfig:
         return is_adaptive(self.strategy)
 
     def io_strategy(self) -> IOStrategy:
-        """The static strategy descriptor driving the protocol shape.
+        """The run-level strategy descriptor: the one source of protocol
+        facts that cannot vary per query (assignment gating, posted offset
+        receives, the collective write, termination).
 
-        Under hybrid-auto this is the worker-writing list-I/O fallback:
-        the selector overrides it per query, but the message-loop plumbing
-        (posted receives, termination conditions) follows the descriptor.
+        Each query is still written under its own strategy, stamped at its
+        first assignment: this descriptor in a static run, the selector's
+        choice under hybrid-auto (where this is the worker-writing list-I/O
+        shape, :data:`~repro.core.strategies.ADAPTIVE_FALLBACK`).
         """
         if self.adaptive:
             return ADAPTIVE_FALLBACK

@@ -30,14 +30,17 @@ mpiBLAST-style recovery layer:
   reissueable bytes remain, which closes the crash-after-"no more work"
   window.
 
-With fault tolerance off, the event sequence is bit-identical to the
-pre-fault implementation.
+Every query is written under its own strategy, fixed at its first
+assignment (:meth:`Master._query_strategy`): the run's strategy in a
+static run, the selector's choice under hybrid-auto.  The run-level
+descriptor (``cfg.io_strategy()``) still decides the protocol facts that
+cannot vary per query: assignment gating, posted offset receives and the
+collective write.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -73,6 +76,7 @@ from .protocol import (
     WriteAck,
     WrittenNotice,
 )
+from .strategies import IOStrategy, get_strategy
 
 
 class _Issued:
@@ -101,18 +105,17 @@ class Master:
         self.comm = comm
         self.cfg = cfg
         self.fh = fh
+        #: The run-level descriptor: gating, posted receives, collectives.
         self.strategy = cfg.io_strategy()
-        # -- hybrid-auto (repro.adapt) --------------------------------------
-        #: Per-query adaptive mode: ``self.strategy`` is the static
-        #: fallback descriptor; ``chosen`` holds each query's actual
-        #: strategy, decided by the selector at first assignment.
-        self.adaptive = cfg.adaptive
+        #: Picks each query's strategy under hybrid-auto (``None`` in a
+        #: static run, whose every query gets ``self.strategy``).
         self.selector = selector
-        if self.adaptive and selector is None:
+        if cfg.adaptive and selector is None:
             raise ValueError(
                 "hybrid-auto needs a StrategySelector (see repro.adapt)"
             )
-        self.chosen: Dict[int, str] = {}
+        #: query -> the strategy it is written under (see _query_strategy).
+        self.chosen: Dict[int, IOStrategy] = {}
         # Timer/trace rows are keyed by the *global* rank: in a sharded run
         # every shard's master is local rank 0 of its sub-communicator, and
         # per-rank rows must not collide.  Single-master runs use the world
@@ -456,30 +459,25 @@ class Master:
             self.fh.read_at_list(self.comm.global_rank, regions),
         )
 
-    # -- hybrid-auto: per-query strategy choice -----------------------------
-    def _query_strategy_name(self, q: int) -> str:
-        """The query's chosen strategy, deciding it now if unseen.
+    # -- per-query strategy choice --------------------------------------------
+    def _query_strategy(self, q: int) -> IOStrategy:
+        """The strategy query ``q`` is written under, chosen now if unseen.
 
-        The choice is stamped three ways — selector ledger, invariant
-        checker, trace — so the checker can assert chosen == executed ==
-        traced at finalize.
+        A static run always answers its own strategy; hybrid-auto asks the
+        selector.  Each choice is stamped into the checker's chosen and
+        traced ledgers and onto the trace (a zero-length interval on the
+        master's row at decision time), so the checker can assert chosen
+        == executed == traced at finalize.
         """
-        name = self.chosen.get(q)
-        if name is not None:
-            return name
-        name = self.selector.choose(
-            q, outstanding_faults=len(self.dead) + len(self.reissue)
-        )
-        self.chosen[q] = name
-        env = self.comm.env
-        if env.check.enabled:
-            env.check.strategy_chosen(q, name, shard=self.shard_id)
-        self._stamp_choice(q, name)
-        return name
-
-    def _stamp_choice(self, q: int, name: str) -> None:
-        """Stamp the choice into the trace (a zero-length interval on the
-        master's row at decision time) and the checker's traced ledger."""
+        strategy = self.chosen.get(q)
+        if strategy is not None:
+            return strategy
+        strategy = self.strategy
+        if self.selector is not None:
+            faults = len(self.dead) + len(self.reissue)
+            strategy = get_strategy(self.selector.choose(q, faults))
+        self.chosen[q] = strategy
+        name = strategy.name
         if self.recorder is not None:
             now = self.comm.env.now
             self.recorder.record(
@@ -487,22 +485,15 @@ class Master:
             )
         c = self.comm.env.check
         if c.enabled:
+            c.strategy_chosen(q, name, shard=self.shard_id)
             c.strategy_traced(q, name, shard=self.shard_id)
-
-    def _query_parallel_io(self, q: int) -> bool:
-        """Whether the query's results are written by workers (per-query
-        under hybrid-auto, the static strategy flag otherwise)."""
-        if not self.adaptive:
-            return self.strategy.parallel_io
-        return self.chosen.get(q, self.strategy.name) != "mw"
+        return strategy
 
     def _respond(self, worker: int):
         task = self.tasks[self.next_task]
         self.next_task += 1
-        if self.adaptive:
-            task = replace(
-                task, strategy=self._query_strategy_name(task.query_id)
-            )
+        q = task.query_id
+        task = TaskAssignment(q, task.fragment_id, self._query_strategy(q).name)
         self.task_owner[(task.query_id, task.fragment_id)] = worker
         if self.serve is not None:
             # A started query has work in flight and can no longer be shed.
@@ -577,7 +568,7 @@ class Master:
             self._count("duplicate_scores_dropped")
             if (
                 self.ft_active
-                and self._query_parallel_io(message.query_id)
+                and self._query_strategy(message.query_id).parallel_io
                 and self.task_owner.get(key) != message.worker
             ):
                 discard = OffsetMessage(
@@ -639,30 +630,25 @@ class Master:
 
     # -- group dispatch ----------------------------------------------------------------
     def _dispatch_group(self, group: int):
-        if self.adaptive:
-            yield from self._dispatch_group_adaptive(group)
-        elif self.strategy.master_writes:
-            yield from self._write_group(group)
-            if self.cfg.query_sync:
-                yield from self._notify_group_written(group)
-        else:
-            yield from self._send_offsets(group)
+        """Write out one completed group, each query under its strategy.
 
-    def _dispatch_group_adaptive(self, group: int):
-        """Hybrid-auto dispatch: each completed query of the group goes out
-        under its chosen strategy — MW queries written inline by the master
-        from the shipped payloads, WW queries as offset lists to their
-        owners — mixed freely within one write group."""
+        A master-writing query is written inline by the master from the
+        shipped payloads; a worker-writing query becomes offset entries for
+        the workers holding its batches.  Both kinds mix freely within one
+        group (hybrid-auto).  Then the workers hear about the group: in a
+        static MW run a written notice, only under query sync; otherwise
+        offset lists, to every worker when the run's strategy is collective
+        or syncs per query, to the contributors only when not.
+        """
         per_worker: Dict[int, List[OffsetEntry]] = {}
         c = self.comm.env.check
         for q in self.cfg.queries_in_group(group):
             if self._query_donated(q):
                 self._ledger_placeholder(q)
                 continue
-            name = self.chosen.get(q, self.strategy.name)
+            strategy = self._query_strategy(q)
             batches = list(self.received[q].values())
-            total = sum(b.total_bytes for b in batches)
-            base = self.ledger.base_for(q, total)
+            base = self.ledger.base_for(q, sum(b.total_bytes for b in batches))
             offsets_by_frag, block_size = merge_query(batches, base)
             if c.enabled:
                 c.offsets_assigned(
@@ -670,21 +656,10 @@ class Master:
                     {b.fragment_id: b.sizes for b in batches},
                     shard=self.shard_id,
                 )
-            if name == "mw":
-                data: Optional[bytes] = None
-                if self.cfg.store_data:
-                    block = bytearray(block_size)
-                    for frag, offsets in offsets_by_frag.items():
-                        meta = self.received[q][frag]
-                        payloads = self.payloads.get((q, frag))
-                        if payloads is None:
-                            continue
-                        for off, size, chunk in zip(offsets, meta.sizes, payloads):
-                            pos = int(off) - base
-                            block[pos : pos + int(size)] = chunk
-                    data = bytes(block)
+            if strategy.master_writes:
                 if c.enabled:
-                    c.strategy_executed(q, "mw", shard=self.shard_id)
+                    c.strategy_executed(q, strategy.name, shard=self.shard_id)
+                data = self._assemble_block(q, base, block_size, offsets_by_frag)
                 yield from self.timer.measure(
                     Phase.IO,
                     self.fh.write_at(
@@ -704,57 +679,18 @@ class Master:
                 # WW: result-durable once every batch's write is acked.
                 s = self.serve.outstanding
                 s[q] = s.get(q, 0) + len(offsets_by_frag)
-        for worker in sorted(per_worker):
-            entries = tuple(per_worker[worker])
-            if self.ft_active:
-                for entry in entries:
-                    self.issued[(entry.query_id, entry.fragment_id)] = _Issued(
-                        worker, entry.offsets, group
+        # isend: the master moves on; completions are drained at exit.
+        if self.strategy.master_writes:
+            if self.cfg.query_sync:
+                notice = WrittenNotice(group=group)
+                for worker in range(1, self.cfg.nprocs):
+                    self.pending_sends.append(
+                        self.comm.isend(worker, TAG_WRITTEN, NOTICE_BYTES, notice)
                     )
-            message = OffsetMessage(group=group, entries=entries)
-            self.pending_sends.append(
-                self.comm.isend(worker, TAG_OFFSETS, message.wire_bytes(), message)
-            )
-
-    def _merge_group(self, group: int):
-        """Offsets for every query of the group; returns per-worker entries."""
-        per_worker: Dict[int, List[OffsetEntry]] = {}
-        blocks = []
-        for q in self.cfg.queries_in_group(group):
-            if self._query_donated(q):
-                self._ledger_placeholder(q)
-                continue
-            batches = list(self.received[q].values())
-            total = sum(b.total_bytes for b in batches)
-            base = self.ledger.base_for(q, total)
-            offsets_by_frag, block_size = merge_query(batches, base)
-            c = self.comm.env.check
-            if c.enabled:
-                c.offsets_assigned(
-                    q, base, block_size, offsets_by_frag,
-                    {b.fragment_id: b.sizes for b in batches},
-                    shard=self.shard_id,
-                )
-            blocks.append((q, base, block_size))
-            for frag, offsets in offsets_by_frag.items():
-                worker = self.task_owner[(q, frag)]
-                per_worker.setdefault(worker, []).append(
-                    OffsetEntry(query_id=q, fragment_id=frag, offsets=offsets)
-                )
-        return per_worker, blocks
-
-    def _send_offsets(self, group: int):
-        per_worker, _ = self._merge_group(group)
-        if self.serve is not None:
-            # Latency stops at result-durable: count the batches whose
-            # on-disk acks this group's queries are waiting for.
-            for entries_list in per_worker.values():
-                for entry in entries_list:
-                    s = self.serve.outstanding
-                    s[entry.query_id] = s.get(entry.query_id, 0) + 1
+            return
         broadcast = self.strategy.collective or self.cfg.query_sync
         targets = (
-            range(1, self.cfg.nprocs) if broadcast else sorted(per_worker.keys())
+            range(1, self.cfg.nprocs) if broadcast else sorted(per_worker)
         )
         for worker in targets:
             entries = tuple(per_worker.get(worker, ()))
@@ -767,62 +703,24 @@ class Master:
             self.pending_sends.append(
                 self.comm.isend(worker, TAG_OFFSETS, message.wire_bytes(), message)
             )
-        # isend: the master moves on; completions are drained at exit.
-        if False:  # pragma: no cover - keeps this a generator
-            yield None
 
-    def _write_group(self, group: int):
-        """Master-writing: one large contiguous write per completed query."""
-        _, blocks = self._merge_group_mw(group)
-        for q, base, block_size, data in blocks:
-            yield from self.timer.measure(
-                Phase.IO,
-                self.fh.write_at(self.comm.global_rank, base, block_size, data),
-            )
-            if self.serve is not None:
-                # MW: the master's own write return is result-durable.
-                self._query_durable(q)
-
-    def _merge_group_mw(self, group: int):
-        blocks = []
-        for q in self.cfg.queries_in_group(group):
-            if self._query_donated(q):
-                self._ledger_placeholder(q)
+    def _assemble_block(
+        self, q: int, base: int, block_size: int, offsets_by_frag
+    ) -> Optional[bytes]:
+        """The query's output block built from the shipped payloads
+        (``None`` when the run stores no content)."""
+        if not self.cfg.store_data:
+            return None
+        block = bytearray(block_size)
+        for frag, offsets in offsets_by_frag.items():
+            payloads = self.payloads.get((q, frag))
+            if payloads is None:
                 continue
-            batches = list(self.received[q].values())
-            total = sum(b.total_bytes for b in batches)
-            base = self.ledger.base_for(q, total)
-            offsets_by_frag, block_size = merge_query(batches, base)
-            c = self.comm.env.check
-            if c.enabled:
-                c.offsets_assigned(
-                    q, base, block_size, offsets_by_frag,
-                    {b.fragment_id: b.sizes for b in batches},
-                    shard=self.shard_id,
-                )
-            data: Optional[bytes] = None
-            if self.cfg.store_data:
-                block = bytearray(block_size)
-                for frag, offsets in offsets_by_frag.items():
-                    meta = self.received[q][frag]
-                    payloads = self.payloads.get((q, frag))
-                    if payloads is None:
-                        continue
-                    for off, size, chunk in zip(offsets, meta.sizes, payloads):
-                        pos = int(off) - base
-                        block[pos : pos + int(size)] = chunk
-                data = bytes(block)
-            blocks.append((q, base, block_size, data))
-        return None, blocks
-
-    def _notify_group_written(self, group: int):
-        notice = WrittenNotice(group=group)
-        for worker in range(1, self.cfg.nprocs):
-            self.pending_sends.append(
-                self.comm.isend(worker, TAG_WRITTEN, NOTICE_BYTES, notice)
-            )
-        if False:  # pragma: no cover - keeps this a generator
-            yield None
+            sizes = self.received[q][frag].sizes
+            for off, size, chunk in zip(offsets, sizes, payloads):
+                pos = int(off) - base
+                block[pos : pos + int(size)] = chunk
+        return bytes(block)
 
     # -- serve mode: arrivals, admission, latency --------------------------------
     def on_arrival(self, priority: bool, content: Optional[int] = None) -> None:
@@ -1212,7 +1110,7 @@ class Master:
                 requeued += self._requeue(key)
                 continue
             if (
-                self._query_parallel_io(q)
+                self._query_strategy(q).parallel_io
                 and self.cfg.group_of(q) >= self.groups_dispatched
             ):
                 # Scores delivered but the payload (the worker's stored

@@ -38,9 +38,11 @@ _HEADER_BYTES = 32
 class TaskAssignment:
     """One unit of work: search ``query_id`` against ``fragment_id``.
 
-    ``strategy`` is stamped by the master under hybrid-auto (the worker
-    must know whether to ship the payload — MW — or store the batch for a
-    later offset list — WW) and stays ``None`` under static strategies."""
+    ``strategy`` names the query's strategy.  The master always stamps it
+    when it hands the task out, in static runs too: the worker needs it to
+    decide whether to ship the payload (MW) or store the batch for a later
+    offset list (WW), and which method writes that batch.  Only tasks
+    still queued at the master are unstamped; a worker rejects one."""
 
     query_id: int
     fragment_id: int

@@ -86,11 +86,13 @@ STRATEGIES: Dict[str, IOStrategy] = {
 #: strategy space (validation, metamorphic harness) must not see it.
 HYBRID_AUTO = "hybrid-auto"
 
-#: Statically-safe stand-in descriptor for hybrid-auto runs: worker-writing
-#: list I/O keeps the master's dispatch loop, offset receives, and
-#: termination conditions valid whatever mix the selector picks (MW queries
-#: are special-cased per query; WW-Coll is excluded from the candidate set
-#: because its assignment gating is a whole-run property).
+#: Hybrid-auto's run-level protocol shape, and nothing more: every query,
+#: in every run, is written under its own per-query strategy.  The run-level
+#: descriptor only decides what cannot vary per query (assignment gating,
+#: posted offset receives, the collective write, termination).  Worker-
+#: writing list I/O keeps those valid whatever mix the selector picks;
+#: WW-Coll is excluded from the candidates because its gating is a
+#: whole-run property.
 ADAPTIVE_FALLBACK = WORKER_LIST
 
 

@@ -9,6 +9,13 @@ for the location list from the master, they can process additional
 queries"); under WW-Coll every worker must enter the per-group collective
 write.
 
+Each task arrives stamped with its query's strategy (see
+:meth:`repro.core.master.Master._query_strategy`).  The stamp decides
+whether the worker ships the payload (MW) or stores the batch for a later
+offset list, and which individual method writes the stored batch; the
+run-level descriptor decides the rest (posted receives, the collective
+write, termination).
+
 Fault tolerance adds a crash/reboot loop around the main protocol: a
 :class:`~repro.faults.injector.WorkerCrashFault` interrupt wipes the
 worker's volatile state (stored result batches, in-flight bookkeeping),
@@ -53,6 +60,7 @@ from .protocol import (
     WriteAck,
     WrittenNotice,
 )
+from .strategies import IOStrategy, get_strategy
 
 
 class Worker:
@@ -73,13 +81,8 @@ class Worker:
         self.cfg = cfg
         self.workload = workload
         self.fh = fh
+        #: The run-level descriptor: posted receives, collective writes.
         self.strategy = cfg.io_strategy()
-        # -- hybrid-auto (repro.adapt) --------------------------------------
-        #: Under hybrid-auto each assignment arrives stamped with the
-        #: query's chosen strategy; the worker keeps a per-task map so the
-        #: eventual offset entries are written with the matching method.
-        self.adaptive = cfg.adaptive
-        self.task_strategy: Dict[Tuple[int, int], str] = {}
         #: Shard index, for checker ledger keys (set by the run assembler).
         self.shard_id = 0
         # -- fragment preload -------------------------------------------------
@@ -93,7 +96,9 @@ class Worker:
         # rows; on the world communicator global == local.
         self.timer = PhaseTimer(comm.env, rank=comm.global_rank, recorder=recorder)
 
-        self.stored: Dict[Tuple[int, int], ResultBatch] = {}
+        #: (query, fragment) -> its batch awaiting an offset list, with the
+        #: strategy its task was stamped with.
+        self.stored: Dict[Tuple[int, int], Tuple[ResultBatch, IOStrategy]] = {}
         self.pending_sends: List = []
         self.no_more_work = False
         # Offset messages processed / barriers joined, counted in absolute
@@ -222,7 +227,6 @@ class Worker:
         if self.stored:
             self._count("batches_lost", len(self.stored))
             self.stored.clear()
-        self.task_strategy.clear()
         # The fragment cache is volatile too: a rebooted worker must re-read
         # any fragment before searching it again.
         self.loaded_fragments.clear()
@@ -305,19 +309,15 @@ class Worker:
         if m.enabled:
             m.inc("app.tasks_completed", 1.0, rank=self.comm.rank)
 
-        ship_payload = not self.strategy.parallel_io
-        if self.adaptive:
-            name = task.strategy if task.strategy is not None else "ww-list"
-            ship_payload = name == "mw"
-            if not ship_payload:
-                self.task_strategy[(task.query_id, task.fragment_id)] = name
+        # An unstamped task raises here: there is no default strategy.
+        strategy = get_strategy(task.strategy)
         payload_bytes = 0
         payloads: Optional[List[bytes]] = None
-        if not ship_payload:
+        if strategy.parallel_io:
             # Merge with previous results for this query (step 8).
             cost = cfg.merge.merge_time(batch.count, batch.total_bytes)
             yield from timer.sleep(Phase.MERGE, cost)
-            self.stored[(task.query_id, task.fragment_id)] = batch
+            self.stored[(task.query_id, task.fragment_id)] = (batch, strategy)
         else:
             payload_bytes = batch.total_bytes
             if cfg.store_data:
@@ -347,8 +347,6 @@ class Worker:
         )
         self.pending_sends.append(send)
         self.pending_sends = [s for s in self.pending_sends if not s.completed]
-        if False:  # pragma: no cover - keeps this a generator
-            yield None
 
     # -- I/O-side message handling -------------------------------------------------
     def _io_events(self) -> List:
@@ -380,41 +378,44 @@ class Worker:
                 return
 
     def _handle_offsets(self, message: OffsetMessage):
-        """Write the group's results (step 18) and sync if requested."""
+        """Write the group's results (step 18) and sync if requested.
+
+        Each stored batch is written with the individual method of the
+        strategy its task was stamped with.  A repair writes a recomputed
+        batch at its originally-issued offsets: always individually (even
+        under WW-Coll — the group's collective already happened without
+        these bytes), and it never advances the group counters.
+        """
         cfg, timer = self.cfg, self.timer
         if message.discard:
             self._handle_discard(message)
             return
-        if message.repair:
-            yield from self._write_repair(message)
-            return
-        # Buckets keyed by write method: a single ``None`` bucket (the
-        # hinted method) under static strategies; under hybrid-auto one
-        # bucket per method actually chosen, issued as separate writes.
-        buckets: Dict[
-            Optional[str], List[Tuple[int, int, Optional[bytes]]]
-        ] = {}
+        # (offset, size, data) rows, bucketed by write method.
+        buckets: Dict[str, List[Tuple[int, int, Optional[bytes]]]] = {}
         written: List[Tuple[int, int]] = []
+        c = self.comm.env.check
         for entry in message.entries:
             key = (entry.query_id, entry.fragment_id)
-            batch = self.stored.pop(key, None)
-            if batch is None:
+            stored = self.stored.pop(key, None)
+            if stored is None:
                 if not self.ft_active:
                     raise KeyError(key)
                 # The batch died in a crash after the master merged its
-                # scores; the recovery protocol repairs it out-of-band.
+                # scores; recovery repairs it out-of-band (or reissues
+                # the repair to the next recompute).
                 self._count("entries_skipped")
-                self.task_strategy.pop(key, None)
                 continue
+            batch, strategy = stored
             written.append(key)
-            method = self._entry_method(key)
-            c = self.comm.env.check
             if c.enabled:
+                c.strategy_executed(
+                    entry.query_id, strategy.name, shard=self.shard_id
+                )
                 c.entry_alignment(
                     entry.query_id, entry.fragment_id,
                     len(entry.offsets), len(batch.sizes),
                 )
-            rows = buckets.setdefault(method, [])
+            rows = buckets.setdefault(strategy.ind_method, [])
             for i, (offset, size) in enumerate(zip(entry.offsets, batch.sizes)):
                 data: Optional[bytes] = None
                 if cfg.store_data:
@@ -423,16 +424,16 @@ class Worker:
                     )
                 rows.append((int(offset), int(size), data))
 
-        if self.strategy.collective:
+        if self.strategy.collective and not message.repair:
             # Everyone joins the collective write, data or not.
-            rows = buckets.get(None, [])
+            rows = [row for bucket in buckets.values() for row in bucket]
             regions = [(o, s) for o, s, _ in rows]
             datas = [d for _, _, d in rows] if cfg.store_data else None
             yield from timer.measure(
                 Phase.IO, self.fh.write_at_all(self.wcomm, regions, datas)
             )
         else:
-            for method in (None, IND_POSIX, IND_LIST):
+            for method in (IND_POSIX, IND_LIST):
                 rows = buckets.get(method)
                 if not rows:
                     continue
@@ -444,6 +445,11 @@ class Worker:
                         self.comm.global_rank, regions, datas, method=method
                     ),
                 )
+        if message.repair:
+            if written:
+                self._count("repairs_written", len(written))
+                self._send_ack(written)
+            return
         self.groups_handled = max(self.groups_handled, message.group + 1)
         if (self.ft_active or self.serve_acks) and written:
             self._send_ack(written)
@@ -452,80 +458,12 @@ class Worker:
             yield from timer.measure(Phase.SYNC, mpi.barrier(self.wcomm))
             self.groups_synced = max(self.groups_synced, message.group + 1)
 
-    def _entry_method(self, key: Tuple[int, int]) -> Optional[str]:
-        """Write method for one offset entry's batch.
-
-        ``None`` (the file handle's hinted method) under static strategies;
-        under hybrid-auto the method matching the task's stamped strategy,
-        reported to the checker's executed ledger."""
-        if not self.adaptive:
-            return None
-        name = self.task_strategy.pop(key, "ww-list")
-        c = self.comm.env.check
-        if c.enabled:
-            c.strategy_executed(key[0], name, shard=self.shard_id)
-        return IND_POSIX if name == "ww-posix" else IND_LIST
-
     def _handle_discard(self, message: OffsetMessage) -> None:
         """Drop stranded batches another worker already delivered."""
         for entry in message.entries:
             key = (entry.query_id, entry.fragment_id)
-            self.task_strategy.pop(key, None)
             if self.stored.pop(key, None) is not None:
                 self._count("batches_discarded")
-
-    def _write_repair(self, message: OffsetMessage):
-        """Write a recomputed batch at its originally-issued offsets.
-
-        Repairs are always individual writes (even under WW-Coll — the
-        surviving group collective already happened without these bytes)
-        and never advance the group counters.
-        """
-        cfg, timer = self.cfg, self.timer
-        buckets: Dict[
-            Optional[str], List[Tuple[int, int, Optional[bytes]]]
-        ] = {}
-        written: List[Tuple[int, int]] = []
-        for entry in message.entries:
-            key = (entry.query_id, entry.fragment_id)
-            batch = self.stored.pop(key, None)
-            if batch is None:
-                # Crashed again between the recompute and this repair; the
-                # master will reissue to the next recompute.
-                self._count("entries_skipped")
-                self.task_strategy.pop(key, None)
-                continue
-            written.append(key)
-            method = self._entry_method(key)
-            c = self.comm.env.check
-            if c.enabled:
-                c.entry_alignment(
-                    entry.query_id, entry.fragment_id,
-                    len(entry.offsets), len(batch.sizes),
-                )
-            rows = buckets.setdefault(method, [])
-            for i, (offset, size) in enumerate(zip(entry.offsets, batch.sizes)):
-                data: Optional[bytes] = None
-                if cfg.store_data:
-                    data = result_payload(
-                        batch.query_id, batch.fragment_id, i, int(size)
-                    )
-                rows.append((int(offset), int(size), data))
-        for method in (None, IND_POSIX, IND_LIST):
-            rows = buckets.get(method)
-            if not rows:
-                continue
-            regions = [(o, s) for o, s, _ in rows]
-            datas = [d for _, _, d in rows] if cfg.store_data else None
-            yield from timer.measure(
-                Phase.IO,
-                self.fh.write_at_list(
-                    self.comm.global_rank, regions, datas, method=method
-                ),
-            )
-        if written:
-            self._count("repairs_written", len(written))
-            self._send_ack(written)
 
     def _send_ack(self, keys: List[Tuple[int, int]]) -> None:
         # OOB: an ack stuck behind bulk data could outlive its sender's

@@ -150,10 +150,6 @@ class TestSelector:
         sel.choose(0)  # sticky: no second increment
         assert reg.snapshot().counter_total("adapt.choices") == 1.0
 
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            StrategySelector(FakeResults({}), FakeFs(), nworkers=4, candidates=())
-
     def test_ww_coll_is_not_a_candidate(self):
         assert "ww-coll" not in CANDIDATES
 

@@ -122,51 +122,68 @@ class TestWorkerBehaviour:
         assert result.worker_mean[Phase.SYNC] > 0
 
 
+def _group_traffic(monkeypatch, cfg):
+    """Run ``cfg`` and return the master's offset and written-notice sends
+    as ``{group: {"offsets": [dst, ...], "notices": [dst, ...]}}``."""
+    from repro.core.protocol import TAG_OFFSETS, TAG_WRITTEN
+    from repro.mpi.communicator import RankComm
+
+    kinds = {TAG_OFFSETS: "offsets", TAG_WRITTEN: "notices"}
+    traffic = {}
+    original = RankComm.isend
+
+    def spy(self, dst, tag, nbytes, payload=None, oob=False):
+        if self.rank == 0 and tag in kinds:
+            sends = traffic.setdefault(
+                payload.group, {"offsets": [], "notices": []}
+            )
+            sends[kinds[tag]].append(dst)
+        return original(self, dst, tag, nbytes, payload, oob)
+
+    monkeypatch.setattr(RankComm, "isend", spy)
+    result = S3aSim(cfg).run()
+    assert result.file_stats.complete
+    assert sorted(traffic) == list(range(cfg.ngroups))
+    return traffic
+
+
 class TestOffsetTrafficPolicy:
-    def test_individual_no_sync_messages_only_to_contributors(self):
-        """A worker with no results for a group gets no offset message —
-        run a 2-worker job where worker task counts differ and confirm
-        completion (over-sending would also complete, so check message
-        counts via the master)."""
-        from repro.core.master import Master
+    """Which workers hear about each write group, and how."""
 
-        sent = []
-        original = Master._send_offsets
+    def test_individual_no_sync_messages_only_to_contributors(self, monkeypatch):
+        """A worker with no results for a group gets no offset message."""
+        cfg = small("ww-list", nprocs=4, nqueries=2, nfragments=2)
+        traffic = _group_traffic(monkeypatch, cfg)
+        for sends in traffic.values():
+            # 2 fragments per query: at most 2 contributing workers of 3.
+            assert 1 <= len(sends["offsets"]) <= 2
+            assert sends["notices"] == []
 
-        def spy(self, group):
-            before = len(self.pending_sends)
-            result = yield from original(self, group)
-            sent.append(len(self.pending_sends) - before)
-            return result
+    def test_collective_messages_broadcast_to_all_workers(self, monkeypatch):
+        cfg = small("ww-coll", nprocs=4, nqueries=2, nfragments=2)
+        traffic = _group_traffic(monkeypatch, cfg)
+        for sends in traffic.values():
+            assert sends == {"offsets": [1, 2, 3], "notices": []}
 
-        Master._send_offsets = spy
-        try:
-            cfg = small("ww-list", nprocs=4, nqueries=2, nfragments=2)
-            S3aSim(cfg).run()
-        finally:
-            Master._send_offsets = original
-        # 2 fragments per query: at most 2 contributing workers of the 3.
-        assert all(n <= 2 for n in sent)
+    def test_mw_query_sync_sends_one_notice_per_worker(self, monkeypatch):
+        cfg = small("mw", nprocs=4, nqueries=2, nfragments=2, query_sync=True)
+        traffic = _group_traffic(monkeypatch, cfg)
+        for sends in traffic.values():
+            assert sends == {"offsets": [], "notices": [1, 2, 3]}
 
-    def test_collective_messages_broadcast_to_all_workers(self):
-        from repro.core.master import Master
+    def test_individual_query_sync_broadcasts_offsets(self, monkeypatch):
+        cfg = small("ww-list", nprocs=4, nqueries=2, nfragments=2,
+                    query_sync=True)
+        traffic = _group_traffic(monkeypatch, cfg)
+        for sends in traffic.values():
+            assert sends == {"offsets": [1, 2, 3], "notices": []}
 
-        sent = []
-        original = Master._send_offsets
-
-        def spy(self, group):
-            before = len(self.pending_sends)
-            result = yield from original(self, group)
-            sent.append(len(self.pending_sends) - before)
-            return result
-
-        Master._send_offsets = spy
-        try:
-            cfg = small("ww-coll", nprocs=4, nqueries=2, nfragments=2)
-            S3aSim(cfg).run()
-        finally:
-            Master._send_offsets = original
-        assert all(n == 3 for n in sent)  # every worker, every group
+    def test_hybrid_auto_sends_offsets_only_to_contributors(self, monkeypatch):
+        cfg = small("hybrid-auto", nprocs=4, nqueries=2, nfragments=2)
+        traffic = _group_traffic(monkeypatch, cfg)
+        for sends in traffic.values():
+            assert 1 <= len(sends["offsets"]) <= 2
+            assert sends["notices"] == []
 
 
 def _bare_world(cfg):

@@ -82,6 +82,35 @@ class TestBatch:
         assert img(app_h) == img(app_s)
 
 
+class TestStaticLedger:
+    """A static strategy is a choice that is always the same answer: its
+    runs fill the same chosen/executed/traced ledgers as hybrid-auto."""
+
+    @pytest.mark.parametrize(
+        "strategy,query_sync",
+        [
+            ("mw", False),
+            ("ww-posix", False),
+            ("ww-list", False),
+            ("ww-coll", False),
+            ("mw", True),
+            ("ww-coll", True),
+        ],
+    )
+    def test_every_query_ledgered_under_the_static_name(
+        self, strategy, query_sync
+    ):
+        config = cfg(strategy=strategy, query_sync=query_sync,
+                     collect_metrics=False)
+        app, result = run_app(config)
+        assert result.file_stats.complete
+        check = app.world.env.check
+        expected = {(0, q): strategy for q in range(config.nqueries)}
+        assert check.strategy_chosen_by == expected
+        assert check.strategy_executed_by == expected
+        assert check.strategy_traced_by == expected
+
+
 class TestServe:
     def test_serve_mode_stamps_every_admitted_query(self):
         app, result = run_app(
