@@ -15,16 +15,7 @@ from repro.core.offsets import merge_query
 from repro.faults import FaultPlan
 from repro.faults.plan import MessageLoss, ServerOutage, WorkerCrash
 from repro.trace import TraceRecorder
-
-SMALL = dict(nprocs=4, nqueries=3, nfragments=6)
-
-#: Locked end-to-end timings (tests/obs/test_determinism.py owns these).
-GOLDEN = {
-    "mw": 25.410715708394612,
-    "ww-posix": 24.30148509613702,
-    "ww-list": 21.376782075112857,
-    "ww-coll": 21.81401815133468,
-}
+from tests.small_golden import GOLDEN, SMALL
 
 
 def run_one(strategy, check, **overrides):

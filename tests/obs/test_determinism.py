@@ -15,17 +15,7 @@ import pytest
 from repro.core import Phase, S3aSim, SimulationConfig
 from repro.exec import PointSpec, aggregate_point_metrics, run_points
 from repro.trace import TraceRecorder
-
-SMALL = dict(nprocs=4, nqueries=3, nfragments=6)
-
-#: Completion times of the seed implementation at ``SMALL`` — any event
-#: added, removed, or reordered by the metrics sweep shows up here first.
-GOLDEN = {
-    "mw": 25.410715708394612,
-    "ww-posix": 24.30148509613702,
-    "ww-list": 21.376782075112857,
-    "ww-coll": 21.81401815133468,
-}
+from tests.small_golden import GOLDEN, SMALL
 
 
 def run_one(strategy, collect_metrics):

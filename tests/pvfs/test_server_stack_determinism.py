@@ -10,22 +10,11 @@ import pytest
 
 from repro.core import S3aSim, SimulationConfig
 from repro.trace import TraceRecorder
+from tests.small_golden import GOLDEN, SMALL
 
 from dataclasses import replace
 
 MIB = 1024 * 1024
-
-SMALL = dict(nprocs=4, nqueries=3, nfragments=6)
-
-#: Seed completion times at ``SMALL`` — same values the obs-layer golden
-#: test pins.  Any event the scheduler/cache sweep adds to a *default*
-#: run shows up here first.
-GOLDEN = {
-    "mw": 25.410715708394612,
-    "ww-posix": 24.30148509613702,
-    "ww-list": 21.376782075112857,
-    "ww-coll": 21.81401815133468,
-}
 
 
 def run_one(strategy, **pvfs_overrides):

@@ -15,17 +15,7 @@ from repro.core import S3aSim, SimulationConfig
 from repro.exec import PointSpec, run_points
 from repro.serve import ARRIVAL_PROCESSES, ArrivalConfig
 from repro.trace import TraceRecorder
-
-SMALL = dict(nprocs=4, nqueries=3, nfragments=6)
-
-#: Seed completion times (same values as tests/obs/test_determinism.py):
-#: the serve sweep must leave batch mode untouched.
-GOLDEN = {
-    "mw": 25.410715708394612,
-    "ww-posix": 24.30148509613702,
-    "ww-list": 21.376782075112857,
-    "ww-coll": 21.81401815133468,
-}
+from tests.small_golden import GOLDEN, SMALL
 
 STRATEGIES = tuple(GOLDEN)
 

@@ -15,18 +15,9 @@ from repro.core import S3aSim, SimulationConfig, get_scenario
 from repro.core.app import run_simulation
 from repro.serve import ArrivalConfig
 from repro.shard import PLACEMENTS, MasterGroup, ShardConfig, partition_ranks, place
-
-#: Seed completion times (tests/obs/test_determinism.py owns these).
-GOLDEN = {
-    "mw": 25.410715708394612,
-    "ww-posix": 24.30148509613702,
-    "ww-list": 21.376782075112857,
-    "ww-coll": 21.81401815133468,
-}
+from tests.small_golden import GOLDEN, SMALL
 
 STRATEGIES = tuple(GOLDEN)
-
-SMALL = dict(nprocs=4, nqueries=3, nfragments=6)
 
 
 def sharded_config(strategy="ww-list", masters=2, placement="range", **kwargs):
