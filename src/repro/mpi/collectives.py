@@ -10,7 +10,9 @@ the timing scales realistically:
 * gather/gatherv — linear to root (what ROMIO-era MPICH used for modest n)
 * scatter/scatterv — linear from root
 * allgather(v) — gather + bcast
-* alltoallv — ring-shifted pairwise exchange (the two-phase I/O workhorse)
+* alltoall — Bruck (⌈log₂ n⌉ steps, one message per rank per step)
+* alltoallv — alltoall of counts, then data between non-empty pairs only
+  (ROMIO's two-phase exchange)
 * reduce/allreduce — gather-to-root + op (+ bcast)
 
 A reserved, per-invocation tag keeps collective traffic disjoint from user
@@ -19,13 +21,16 @@ messages and from other collectives in flight.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..sim import Join
 from .constants import collective_tag
 
 # Wire size of a zero-byte collective control message.
 CONTROL_BYTES = 16
+# Wire size of one byte count in alltoallv's count exchange.
+COUNT_BYTES = 8
 
 
 def _next_tag(comm) -> int:
@@ -137,34 +142,86 @@ def allgather(comm, nbytes: int, payload: Any = None):
     return result
 
 
+def alltoall(comm, nbytes: int, blocks: Sequence[Any]):
+    """Bruck's log-step alltoall of ``nbytes``-sized blocks.
+
+    ``blocks[d]`` goes to rank ``d``; returns the blocks received, indexed
+    by source.  The blocks are rotated so that position ``i`` holds the
+    one bound for ``rank + i``.  In step ``k`` every rank sends the blocks
+    whose position has bit ``k`` set to ``rank + 2^k`` (one message), so a
+    block travels ``i`` ranks in ⌈log₂ n⌉ steps.  Rotating back at the end
+    puts the block from ``src`` in slot ``src``.  This is MPICH's
+    short-message alltoall.
+    """
+    tag = _next_tag(comm)
+    size, rank = comm.size, comm.rank
+    if len(blocks) != size:
+        raise ValueError("blocks must have one entry per rank")
+
+    held = list(blocks[rank:]) + list(blocks[:rank])
+    step = 0
+    while (1 << step) < size:
+        distance = 1 << step
+        moved = _bruck_positions(size, step)
+        send = comm.isend(
+            (rank + distance) % size, tag, nbytes * len(moved),
+            [held[i] for i in moved],
+        )
+        recv = comm.irecv(source=(rank - distance) % size, tag=tag)
+        yield Join(comm.env, send.done_event, recv.done_event)
+        for i, block in zip(moved, recv.done_event.value):
+            held[i] = block
+        step += 1
+    # Position i now holds the block from rank - i.
+    return held[rank::-1] + held[:rank:-1]
+
+
 def alltoallv(comm, nbytes_to: Sequence[int], payloads_to: Optional[Sequence[Any]] = None):
     """Personalized all-to-all with per-destination sizes.
 
     ``nbytes_to[d]`` is what this rank sends to rank ``d``.  Returns the list
-    of payloads received, indexed by source.  Ring-shifted pairwise schedule:
-    in step ``s`` each rank sends to ``rank+s`` and receives from ``rank-s``,
-    which spreads load evenly — the schedule ROMIO's two-phase exchange
-    approximates.
+    of payloads received, indexed by source (``None`` where nothing came).
+
+    ROMIO's exchange (Thakur et al., "Optimizing Noncontiguous Accesses in
+    MPI-IO"): every rank first learns what every other rank sends it from
+    an :func:`alltoall` of 8-byte counts, then receives from every source
+    with a nonzero count and sends to every destination with a nonzero
+    count, and waits once for all of them.  Every rank enters the count
+    exchange, with or without data, so the collective still synchronizes
+    all ranks; only pairs that have bytes exchange data.  The entry for
+    this rank itself stays local.  A payload on a zero-byte entry is a
+    ``ValueError``: the receiver would never post a receive for it.
     """
-    tag = _next_tag(comm)
     size, rank = comm.size, comm.rank
     if len(nbytes_to) != size:
         raise ValueError("nbytes_to must have one entry per rank")
-    if payloads_to is not None and len(payloads_to) != size:
-        raise ValueError("payloads_to must have one entry per rank")
+    if payloads_to is not None:
+        if len(payloads_to) != size:
+            raise ValueError("payloads_to must have one entry per rank")
+        for nbytes, payload in zip(nbytes_to, payloads_to):
+            if payload is not None and not nbytes:
+                raise ValueError("a payload needs a nonzero byte count")
 
+    nbytes_from = yield from alltoall(comm, COUNT_BYTES, nbytes_to)
+
+    tag = _next_tag(comm)
     received: List[Any] = [None] * size
     received[rank] = payloads_to[rank] if payloads_to is not None else None
-
-    for step in range(1, size):
-        dst = (rank + step) % size
-        src = (rank - step) % size
-        send = comm.isend(
-            dst, tag, nbytes_to[dst],
-            payloads_to[dst] if payloads_to is not None else None,
-        )
-        recv = comm.irecv(source=src, tag=tag)
-        yield Join(comm.env, send.done_event, recv.done_event)
+    peers = [(rank + step) % size for step in range(1, size)]
+    recvs = [
+        (src, comm.irecv(source=src, tag=tag)) for src in peers if nbytes_from[src]
+    ]
+    events = [recv.done_event for _, recv in recvs]
+    for dst in peers:
+        if nbytes_to[dst]:
+            send = comm.isend(
+                dst, tag, nbytes_to[dst],
+                payloads_to[dst] if payloads_to is not None else None,
+            )
+            events.append(send.done_event)
+    if events:
+        yield Join(comm.env, *events)
+    for src, recv in recvs:
         received[src] = recv.done_event.value
     return received
 
@@ -188,7 +245,15 @@ def allreduce(comm, nbytes: int, value: Any, op: Callable[[Any, Any], Any]):
     return result
 
 
-# -- binomial-tree helpers ----------------------------------------------------
+# -- Bruck and binomial-tree helpers -------------------------------------------
+
+@lru_cache(maxsize=None)
+def _bruck_positions(size: int, step: int) -> Tuple[int, ...]:
+    """Block positions that step ``step`` of an ``size``-rank Bruck
+    alltoall moves: those with bit ``step`` set."""
+    bit = 1 << step
+    return tuple(i for i in range(bit, size) if i & bit)
+
 
 def _parent(vrank: int) -> int:
     """Parent of ``vrank`` in a binomial broadcast tree (vrank > 0).

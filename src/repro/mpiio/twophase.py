@@ -4,9 +4,11 @@ The default collective method in ROMIO and the engine behind the paper's
 WW-Coll strategy.  Phase 1 exchanges data so that each of the ``cb_nodes``
 aggregators holds a contiguous *file domain*; phase 2 has aggregators issue
 large (near-)contiguous writes.  The exchange is an ``alltoallv`` among all
-participants — this is the *inherent synchronization* whose cost the paper
-sets out to expose: every rank blocks in the exchange until the slowest
-participant arrives, whether or not it has data to contribute.
+participants, run as ROMIO runs it: an alltoall of byte counts, then data
+only between pairs that have bytes.  The count alltoall is the *inherent
+synchronization* whose cost the paper sets out to expose: every rank
+enters it and blocks until the slowest participant arrives, whether or
+not it has data to contribute.
 
 The domain is processed in ``cb_buffer_size`` windows ("ntimes" rounds in
 ROMIO), each round being a fresh exchange + write.

@@ -313,9 +313,9 @@ class AnyOf(Condition):
 
 
 class Join(Event):
-    """``first & second`` without the :class:`Condition` machinery.
+    """``a & b & ...`` without the :class:`Condition` machinery.
 
-    Succeeds (value ``None``) when the second sub-event is processed — the
+    Succeeds (value ``None``) when the last sub-event is processed — the
     same schedule call, hence the same ``(time, priority, eid)`` position,
     as ``AllOf`` — but builds no :class:`ConditionValue`: callers read the
     sub-events' own values.  A failed sub-event is defused and fails the
@@ -324,12 +324,14 @@ class Join(Event):
 
     __slots__ = ("_waiting",)
 
-    def __init__(self, env: "Environment", first: Event, second: Event) -> None:
-        if first.env is not env or second.env is not env:
+    def __init__(self, env: "Environment", *events: Event) -> None:
+        if not events:
+            raise ValueError("Join needs at least one event")
+        if any(event.env is not env for event in events):
             raise ValueError("Events from different environments cannot be mixed")
         super().__init__(env)
-        self._waiting = 2
-        for event in (first, second):
+        self._waiting = len(events)
+        for event in events:
             if event.callbacks is None:
                 self._check(event)
             else:

@@ -18,9 +18,9 @@ import pytest
 from repro.core import S3aSim, SimulationConfig
 from repro.faults import FaultPlan, ServerOutage, ServerSlowdown
 from repro.pvfs import PVFSConfig
+from tests.small_golden import SMALL
 
 MIB = 1024 * 1024
-SMALL = dict(nprocs=4, nqueries=3, nfragments=6)
 STRATEGIES = ("mw", "ww-posix", "ww-list", "ww-coll")
 
 #: Outage of server 0 during t=[8, 11): mid-io-phase for this workload,
@@ -40,14 +40,14 @@ GOLDEN_OUTAGE_MID_FLUSH = {
     "mw": 25.433174060448717,
     "ww-posix": 21.602049995008596,
     "ww-list": 21.394507533325722,
-    "ww-coll": 21.819089646821208,
+    "ww-coll": 21.801210023256154,
 }
 
 GOLDEN_SLOWDOWN_ELEVATOR = {
     "mw": 25.421562385477948,
     "ww-posix": 25.228198654828642,
     "ww-list": 21.406985657038742,
-    "ww-coll": 21.883711505501353,
+    "ww-coll": 21.865831881936295,
 }
 
 

@@ -18,8 +18,8 @@ GOLDEN = {
     ("ww-posix", True): 28.29374387238095,
     ("ww-list", False): 20.375905478186557,
     ("ww-list", True): 22.55064420848763,
-    ("ww-coll", False): 21.832816896715293,
-    ("ww-coll", True): 21.83288989320763,
+    ("ww-coll", False): 21.817734177660114,
+    ("ww-coll", True): 21.81780717415245,
 }
 
 STRATEGIES = ("mw", "ww-posix", "ww-list", "ww-coll")

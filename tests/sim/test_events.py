@@ -254,8 +254,8 @@ class TestConditions:
 
 
 class TestJoin:
-    """``Join`` is the collectives' lean ``a & b``: same firing position as
-    ``AllOf``, no ``ConditionValue``."""
+    """``Join`` is the collectives' lean ``a & b & ...``: same firing
+    position as ``AllOf``, no ``ConditionValue``."""
 
     @staticmethod
     def _trace(make, order, same_time=False):
@@ -361,6 +361,19 @@ class TestJoin:
     def test_mixed_environment_rejected(self, env):
         with pytest.raises(ValueError):
             Join(env, env.timeout(1), Environment().timeout(1))
+
+    def test_many_events_fire_with_the_last(self, env):
+        events = [env.timeout(t) for t in (3, 1, 2)]
+
+        def proc():
+            yield Join(env, *events)
+            return env.now
+
+        assert env.run(env.process(proc())) == 3.0
+
+    def test_no_events_rejected(self, env):
+        with pytest.raises(ValueError):
+            Join(env)
 
 class TestRunSemantics:
     def test_run_until_time(self, env):
