@@ -10,10 +10,15 @@ This golden pins small runs of exactly those shapes, to the last bit:
 * hybrid-auto, as closed batches (one of them mixing mw and ww-list
   queries within a write group) and in serve mode;
 * one worker crash each under mw, ww-list, ww-coll and hybrid-auto;
-* one resumed run.
+* one resumed run;
+* serve admission: shedding with a priority lane under mw and ww-list,
+  rejection under ww-coll;
+* sharded serve runs with work stealing: range placement over two
+  masters (plain, and shedding with priority), hash placement over three.
 
 Each case records the elapsed time, the output file's statistics, the
-server, serve and fault counters and the mean worker phase breakdown.
+server, serve and fault counters and the mean worker phase breakdown (a
+sharded run: each shard's span and serve counters instead).
 
 Regenerate it only for an intended change of simulated timing::
 
@@ -29,9 +34,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import S3aSim, SimulationConfig
+from repro.core import S3aSim, ShardedRunResult, SimulationConfig
 from repro.faults import FaultPlan, WorkerCrash
 from repro.serve.arrivals import ArrivalConfig
+from repro.shard import ShardConfig
 from repro.workload.results import ResultModel
 
 GOLDEN = Path(__file__).with_name("dispatch_golden.json")
@@ -73,6 +79,33 @@ def _cases() -> dict:
     cases["ww-list-resume"] = dict(
         strategy="ww-list", nqueries=6, write_every=2, resume_from_query=2
     )
+    shed_priority = ArrivalConfig(
+        process="bursty", rate=30.0, max_pending=3, policy="shed",
+        priority_fraction=0.5,
+    )
+    for strategy in ("mw", "ww-list"):
+        cases[f"{strategy}-serve-shed-priority"] = dict(
+            strategy=strategy, nqueries=12, arrival=shed_priority
+        )
+    cases["ww-coll-serve-reject"] = dict(
+        strategy="ww-coll", nqueries=8,
+        arrival=ArrivalConfig(process="poisson", rate=20.0, max_pending=4),
+    )
+    two_range = ShardConfig(nshards=2, placement="range")
+    cases["mw-masters2-range-steal"] = dict(
+        strategy="mw", nprocs=8, nqueries=12, arrival=ArrivalConfig(),
+        shard=two_range,
+    )
+    cases["ww-list-masters2-range-shed"] = dict(
+        strategy="ww-list", nprocs=8, nqueries=16, shard=two_range,
+        arrival=ArrivalConfig(
+            rate=40.0, max_pending=3, policy="shed", priority_fraction=0.25
+        ),
+    )
+    cases["ww-posix-masters3-hash"] = dict(
+        strategy="ww-posix", nprocs=9, nqueries=12, shard=ShardConfig(nshards=3),
+        arrival=ArrivalConfig(process="diurnal", rate=5.0, max_pending=4),
+    )
     return cases
 
 
@@ -88,9 +121,13 @@ def snapshot(name: str) -> dict:
         "file_stats": dataclasses.asdict(result.file_stats),
         "server_stats": result.server_stats,
         "serve_stats": result.serve_stats,
-        "fault_stats": result.fault_stats,
-        "worker_mean": result.worker_mean.as_dict(),
     }
+    if isinstance(result, ShardedRunResult):
+        record["shard_elapsed"] = result.shard_elapsed
+        record["shard_serve_stats"] = result.shard_serve_stats
+    else:
+        record["fault_stats"] = result.fault_stats
+        record["worker_mean"] = result.worker_mean.as_dict()
     # JSON round trip: the comparison sees exactly what the file stores
     # (floats survive it bit for bit).
     return json.loads(json.dumps(record, sort_keys=True))
