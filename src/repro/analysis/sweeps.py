@@ -9,7 +9,7 @@ figure formatters consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import SimulationConfig
 from ..core.report import RunResult
@@ -115,14 +115,26 @@ ProgressHook = Optional[Callable[[SweepPoint], None]]
 OutcomeHook = Optional[Callable[[PointOutcome], None]]
 
 
-def _execute_sweep(
+def _sweep(
     axis_name: str,
-    specs: Sequence[PointSpec],
-    jobs: int,
+    base: SimulationConfig,
+    xs: Iterable[float],
+    fields: Callable[[float], dict],
+    strategies: Sequence[str],
+    sync_options: Sequence[bool],
+    nprocs: Optional[int],
     progress: ProgressHook,
+    jobs: int,
     reporter: OutcomeHook,
 ) -> SweepResult:
-    """Run the point specs through the engine and collect a SweepResult.
+    """The one spec loop behind every sweep builder.
+
+    ``fields(x)`` validates one axis value and returns the config fields
+    it sets; each value runs the (sync, strategy) grid, at ``nprocs``
+    processes when given.  ``jobs > 1`` fans the points out across a
+    process pool; every point carries the same workload seed (strategies
+    must compare on identical inputs) and rebuilds its random streams
+    from its own config, so the result is bit-identical to ``jobs=1``.
 
     Points land in the SweepResult in spec (submission) order whatever the
     parallel completion order was; ``progress`` fires per successful point
@@ -130,18 +142,24 @@ def _execute_sweep(
     completion and a :class:`SweepExecutionError` aggregating the failures
     is raised at the end.
     """
+    specs = []
+    for x in xs:
+        changes = fields(x)
+        if nprocs is not None:
+            changes["nprocs"] = nprocs
+        for query_sync, strategy in strategy_grid(strategies, sync_options):
+            specs.append(
+                PointSpec(
+                    key=(strategy, query_sync, float(x)),
+                    config=base.with_(
+                        strategy=strategy, query_sync=query_sync, **changes
+                    ),
+                )
+            )
 
     def on_complete(outcome: PointOutcome) -> None:
         if outcome.ok and progress is not None:
-            strategy, query_sync, x = outcome.key
-            progress(
-                SweepPoint(
-                    strategy=strategy,
-                    query_sync=query_sync,
-                    x=x,
-                    result=outcome.result,
-                )
-            )
+            progress(SweepPoint(*outcome.key, outcome.result))
         if reporter is not None:
             reporter(outcome)
 
@@ -149,16 +167,7 @@ def _execute_sweep(
     failures = [o.failure for o in outcomes if o.failure is not None]
     if failures:
         raise SweepExecutionError(failures)
-
-    sweep = SweepResult(axis_name=axis_name)
-    for outcome in outcomes:
-        strategy, query_sync, x = outcome.key
-        sweep.add(
-            SweepPoint(
-                strategy=strategy, query_sync=query_sync, x=x, result=outcome.result
-            )
-        )
-    return sweep
+    return SweepResult(axis_name, [SweepPoint(*o.key, o.result) for o in outcomes])
 
 
 def process_scaling_sweep(
@@ -170,24 +179,11 @@ def process_scaling_sweep(
     jobs: int = 1,
     reporter: OutcomeHook = None,
 ) -> SweepResult:
-    """Figure 2's experiment: overall time vs process count.
-
-    ``jobs > 1`` fans the points out across a process pool; every point
-    carries the same workload seed (strategies must compare on identical
-    inputs) and rebuilds its random streams from its own config, so the
-    result is bit-identical to ``jobs=1``.
-    """
-    specs = [
-        PointSpec(
-            key=(strategy, query_sync, float(nprocs)),
-            config=base.with_(
-                nprocs=nprocs, strategy=strategy, query_sync=query_sync
-            ),
-        )
-        for nprocs in process_counts
-        for query_sync, strategy in strategy_grid(strategies, sync_options)
-    ]
-    return _execute_sweep("processes", specs, jobs, progress, reporter)
+    """Figure 2's experiment: overall time vs process count."""
+    return _sweep(
+        "processes", base, process_counts, lambda n: {"nprocs": n},
+        strategies, sync_options, None, progress, jobs, reporter,
+    )
 
 
 def compute_speed_sweep(
@@ -201,20 +197,11 @@ def compute_speed_sweep(
     reporter: OutcomeHook = None,
 ) -> SweepResult:
     """Figure 5's experiment: overall time vs compute speed at 64 procs."""
-    specs = [
-        PointSpec(
-            key=(strategy, query_sync, float(speed)),
-            config=base.with_(
-                nprocs=nprocs,
-                strategy=strategy,
-                query_sync=query_sync,
-                compute=replace(base.compute, speed=speed),
-            ),
-        )
-        for speed in speeds
-        for query_sync, strategy in strategy_grid(strategies, sync_options)
-    ]
-    return _execute_sweep("compute_speed", specs, jobs, progress, reporter)
+    return _sweep(
+        "compute_speed", base, speeds,
+        lambda speed: {"compute": replace(base.compute, speed=speed)},
+        strategies, sync_options, nprocs, progress, jobs, reporter,
+    )
 
 
 def server_cache_sweep(
@@ -234,21 +221,16 @@ def server_cache_sweep(
     compare fifo vs elevator).  ``x`` is the cache size in MiB — 0 is the
     seed's cache-less daemon.
     """
-    specs = []
-    for mib in cache_mibs:
+
+    def fields(mib):
         if mib < 0:
             raise ValueError(f"cache size must be non-negative, got {mib}")
-        pvfs = replace(base.pvfs, server_cache_B=int(mib * _MIB))
-        for query_sync, strategy in strategy_grid(strategies, sync_options):
-            config = base.with_(
-                strategy=strategy, query_sync=query_sync, pvfs=pvfs
-            )
-            if nprocs is not None:
-                config = config.with_(nprocs=nprocs)
-            specs.append(
-                PointSpec(key=(strategy, query_sync, float(mib)), config=config)
-            )
-    return _execute_sweep("server_cache_mib", specs, jobs, progress, reporter)
+        return {"pvfs": replace(base.pvfs, server_cache_B=int(mib * _MIB))}
+
+    return _sweep(
+        "server_cache_mib", base, cache_mibs, fields,
+        strategies, sync_options, nprocs, progress, jobs, reporter,
+    )
 
 
 def arrival_sweep(
@@ -272,21 +254,16 @@ def arrival_sweep(
     """
     if base.arrival is None:
         raise ValueError("arrival_sweep needs base.arrival set")
-    specs = []
-    for rate in rates:
+
+    def fields(rate):
         if rate <= 0:
             raise ValueError(f"arrival rate must be positive, got {rate}")
-        arrival = replace(base.arrival, rate=float(rate))
-        for query_sync, strategy in strategy_grid(strategies, sync_options):
-            config = base.with_(
-                strategy=strategy, query_sync=query_sync, arrival=arrival
-            )
-            if nprocs is not None:
-                config = config.with_(nprocs=nprocs)
-            specs.append(
-                PointSpec(key=(strategy, query_sync, float(rate)), config=config)
-            )
-    return _execute_sweep("arrival_rate", specs, jobs, progress, reporter)
+        return {"arrival": replace(base.arrival, rate=float(rate))}
+
+    return _sweep(
+        "arrival_rate", base, rates, fields,
+        strategies, sync_options, nprocs, progress, jobs, reporter,
+    )
 
 
 def masters_sweep(
@@ -317,26 +294,17 @@ def masters_sweep(
     from ..shard.state import ShardConfig
 
     shard_base = base.shard or ShardConfig()
-    specs = []
-    for masters in master_counts:
+
+    def fields(masters):
         if masters < 1:
             raise ValueError(f"master count must be >= 1, got {masters}")
-        shard = (
-            replace(shard_base, nshards=int(masters)) if masters > 1 else None
-        )
-        for query_sync, strategy in strategy_grid(strategies, sync_options):
-            config = base.with_(
-                strategy=strategy, query_sync=query_sync, shard=shard
-            )
-            if nprocs is not None:
-                config = config.with_(nprocs=nprocs)
-            specs.append(
-                PointSpec(
-                    key=(strategy, query_sync, float(masters)),
-                    config=config,
-                )
-            )
-    return _execute_sweep("masters", specs, jobs, progress, reporter)
+        shard = replace(shard_base, nshards=int(masters)) if masters > 1 else None
+        return {"shard": shard}
+
+    return _sweep(
+        "masters", base, master_counts, fields,
+        strategies, sync_options, nprocs, progress, jobs, reporter,
+    )
 
 
 def replica_sweep(
@@ -356,20 +324,13 @@ def replica_sweep(
     cost the sweep measures.  Combine with ``base.fault_plan`` to measure
     the degraded-mode price instead of the healthy-path price.
     """
-    specs = []
-    for replicas in replica_counts:
+
+    def fields(replicas):
         if replicas < 1:
             raise ValueError(f"replica count must be >= 1, got {replicas}")
-        pvfs = replace(base.pvfs, replicas=int(replicas))
-        for query_sync, strategy in strategy_grid(strategies, sync_options):
-            config = base.with_(
-                strategy=strategy, query_sync=query_sync, pvfs=pvfs
-            )
-            if nprocs is not None:
-                config = config.with_(nprocs=nprocs)
-            specs.append(
-                PointSpec(
-                    key=(strategy, query_sync, float(replicas)), config=config
-                )
-            )
-    return _execute_sweep("replicas", specs, jobs, progress, reporter)
+        return {"pvfs": replace(base.pvfs, replicas=int(replicas))}
+
+    return _sweep(
+        "replicas", base, replica_counts, fields,
+        strategies, sync_options, nprocs, progress, jobs, reporter,
+    )

@@ -203,6 +203,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _arrival_from(args: argparse.Namespace, process: str) -> ArrivalConfig:
+    """The serve-mode arrival model and admission policy the flags give."""
+    try:
+        return ArrivalConfig(
+            process=process,
+            rate=args.arrival_rate,
+            horizon_s=args.arrival_horizon,
+            max_pending=args.max_pending,
+            policy=args.admission,
+            priority_fraction=args.priority_fraction,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid arrival configuration: {exc}")
+
+
 def _config_from(args: argparse.Namespace) -> SimulationConfig:
     if getattr(args, "jobs", 1) < 1:
         raise SystemExit(
@@ -244,17 +259,7 @@ def _config_from(args: argparse.Namespace) -> SimulationConfig:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if getattr(args, "arrival", None):
-        try:
-            kwargs["arrival"] = ArrivalConfig(
-                process=args.arrival,
-                rate=args.arrival_rate,
-                horizon_s=args.arrival_horizon,
-                max_pending=args.max_pending,
-                policy=args.admission,
-                priority_fraction=args.priority_fraction,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"invalid arrival configuration: {exc}")
+        kwargs["arrival"] = _arrival_from(args, args.arrival)
     if getattr(args, "masters", 1) > 1:
         if "arrival" not in kwargs:
             raise SystemExit(
@@ -652,6 +657,17 @@ def _sweep_reporter(args: argparse.Namespace, total: int) -> Optional[ProgressRe
     return None
 
 
+#: Sweep axis -> (sweep builder, flag holding its values, value type).
+_SWEEP_AXES = {
+    "processes": (process_scaling_sweep, "counts", int),
+    "speed": (compute_speed_sweep, "speeds", float),
+    "cache": (server_cache_sweep, "cache_mibs", float),  # MiB per server
+    "arrival": (arrival_sweep, "rates", float),  # offered queries/s
+    "masters": (masters_sweep, "master_counts", int),
+    "replicas": (replica_sweep, "replica_counts", int),  # per stripe
+}
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
@@ -669,116 +685,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.verbose
         else None
     )
-    # Strategy × sync grid per axis value (hybrid-auto has no sync series).
-    npoints_per_x = len(strategy_grid(strategies, (False, True)))
-    if args.axis == "processes":
-        counts = [int(x) for x in args.counts.split(",")]
-        reporter = _sweep_reporter(args, len(counts) * npoints_per_x)
-        sweep = process_scaling_sweep(
-            cfg,
-            process_counts=counts,
-            strategies=strategies,
-            progress=progress,
-            jobs=args.jobs,
-            reporter=reporter,
-        )
-        headline_x: Optional[float] = float(max(counts))
-    elif args.axis == "speed":
-        speeds = [float(x) for x in args.speeds.split(",")]
-        reporter = _sweep_reporter(args, len(speeds) * npoints_per_x)
-        sweep = compute_speed_sweep(
-            cfg,
-            speeds=speeds,
-            strategies=strategies,
-            nprocs=args.nprocs,
-            progress=progress,
-            jobs=args.jobs,
-            reporter=reporter,
-        )
-        headline_x = float(max(speeds))
-    elif args.axis == "cache":  # server write-back cache size in MiB
-        mibs = [float(x) for x in args.cache_mibs.split(",")]
-        reporter = _sweep_reporter(args, len(mibs) * npoints_per_x)
-        sweep = server_cache_sweep(
-            cfg,
-            cache_mibs=mibs,
-            strategies=strategies,
-            nprocs=args.nprocs,
-            progress=progress,
-            jobs=args.jobs,
-            reporter=reporter,
-        )
-        headline_x = None  # no paper figure to ratio against
-    elif args.axis == "arrival":  # serve mode: offered load in queries/s
-        rates = [float(x) for x in args.rates.split(",")]
-        base = cfg
-        if base.arrival is None:
-            # The common arrival flags still shape the sweep's base config
-            # even when --arrival itself was omitted.
-            base = base.with_(
-                arrival=ArrivalConfig(
-                    process="poisson",
-                    rate=args.arrival_rate,
-                    horizon_s=args.arrival_horizon,
-                    max_pending=args.max_pending,
-                    policy=args.admission,
-                    priority_fraction=args.priority_fraction,
-                )
-            )
-        # Serve mode sweeps one sync option (sync gating is a batch-mode
-        # knob), so one point per strategy per rate.
-        reporter = _sweep_reporter(args, len(rates) * len(strategies))
-        sweep = arrival_sweep(
-            base,
-            rates=rates,
-            strategies=strategies,
-            nprocs=args.nprocs,
-            progress=progress,
-            jobs=args.jobs,
-            reporter=reporter,
-        )
-        headline_x = None  # latency table below instead of ratio tables
-    elif args.axis == "masters":  # sharded serve mode: master count
-        counts = [int(x) for x in args.master_counts.split(",")]
-        base = cfg
-        if base.arrival is None:
-            # Same rule as the arrival axis: the serve flags shape the
-            # sweep even when --arrival itself was omitted.
-            base = base.with_(
-                arrival=ArrivalConfig(
-                    process="poisson",
-                    rate=args.arrival_rate,
-                    horizon_s=args.arrival_horizon,
-                    max_pending=args.max_pending,
-                    policy=args.admission,
-                    priority_fraction=args.priority_fraction,
-                )
-            )
-        reporter = _sweep_reporter(args, len(counts) * len(strategies))
-        sweep = masters_sweep(
-            base,
-            master_counts=counts,
-            strategies=strategies,
-            nprocs=args.nprocs,
-            progress=progress,
-            jobs=args.jobs,
-            reporter=reporter,
-        )
-        headline_x = None  # latency table below instead of ratio tables
-    else:  # replicas: per-stripe replica count
-        counts = [int(x) for x in args.replica_counts.split(",")]
-        reporter = _sweep_reporter(args, len(counts) * npoints_per_x)
-        sweep = replica_sweep(
-            cfg,
-            replica_counts=counts,
-            strategies=strategies,
-            nprocs=args.nprocs,
-            progress=progress,
-            jobs=args.jobs,
-            reporter=reporter,
-        )
-        headline_x = None  # no paper figure to ratio against
-    if args.axis in ("arrival", "masters"):
+    serving_axis = args.axis in ("arrival", "masters")
+    if serving_axis and cfg.arrival is None:
+        # The common arrival flags still shape a serve sweep's base config
+        # even when --arrival itself was omitted.
+        cfg = cfg.with_(arrival=_arrival_from(args, "poisson"))
+    builder, flag, kind = _SWEEP_AXES[args.axis]
+    xs = [kind(x) for x in getattr(args, flag).split(",")]
+    # Serve mode sweeps one sync option (sync gating is a batch-mode knob);
+    # the others run the strategy × sync grid (hybrid-auto has no sync
+    # series).
+    grid = strategies if serving_axis else strategy_grid(strategies, (False, True))
+    kwargs = dict(
+        strategies=strategies,
+        progress=progress,
+        jobs=args.jobs,
+        reporter=_sweep_reporter(args, len(xs) * len(grid)),
+    )
+    if args.axis != "processes":
+        kwargs["nprocs"] = args.nprocs
+    sweep = builder(cfg, xs, **kwargs)
+    # Ratio tables against the paper's figures (the cache and replica axes
+    # have no paper figure; the serve axes print a latency table instead).
+    headline_x = float(max(xs)) if args.axis in ("processes", "speed") else None
+    if serving_axis:
         _print_latency_table(
             sweep, x_label="masters" if args.axis == "masters" else "rate qps"
         )

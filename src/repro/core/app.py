@@ -1,6 +1,9 @@
 """S3aSim application runner: wire everything together and run one job.
 
-:class:`S3aSim` is the only code that assembles a run.  It builds the
+:class:`S3aSim` assembles every database-segmentation run: a plain
+run, a closed batch over shards and a serve run with one or more masters
+(query segmentation, the paper's baseline, has its own
+:class:`~repro.core.queryseg.QuerySegS3aSim`).  It builds the
 simulated cluster (MPI world + PVFS2 volume sharing the same NICs), the
 workload and the shared database file once, then splits the world into
 ``shard.nshards`` contiguous rank blocks (one block without a shard
@@ -20,18 +23,18 @@ them to the global query whose results the workload holds:
   the paper's Section 5 future work) gives shard i the contiguous query
   block ``partition_ranks(nqueries, k, i)`` — a fixed map;
 * **sharded serve mode** drives one global arrival process through an
-  :class:`_ArrivalRouter`, which places each arrival on a shard (hash or
-  range of the arrival index; placement consumes no randomness, so the
-  arrival stream is bit-identical to a single-master run at the same
-  seed) and stamps it with its global *content id* — a live map, so a
-  query keeps its identity when work-stealing moves it between shards.
+  :class:`~repro.shard.state.ArrivalRouter`, which places each arrival
+  on a shard's admission (hash or range of the arrival index; placement
+  consumes no randomness, so the arrival stream is bit-identical to a
+  single-master run at the same seed) and stamps it with its global
+  *content id* — a live map, so a query keeps its identity when
+  work-stealing moves it between shards.
 
-Work stealing (``ShardConfig.steal``, serve mode only): a master whose
-pending queue drains while workers are parked probes its peers
-round-robin over the out-of-band channel (``Steal``/``Donate``); a donor
-ships the youngest half of its unstarted, non-priority queries.  Latency
-is measured end to end — a stolen query's clock starts at its original
-arrival.
+Admission (:mod:`repro.serve.admission`) and work stealing
+(:mod:`repro.shard.steal`) live outside the master; a master wires them
+in, and this runner hands the arrival process its admission (or the
+router) and collects the serve statistics with
+:func:`~repro.serve.state.serve_stats`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from ..mpiio.file import MPIIOFile
 from ..obs.metrics import MetricsRegistry
 from ..pvfs.filesystem import FileSystem, PVFSFile
 from ..serve.arrivals import arrival_process
-from ..shard.state import ShardConfig, partition_ranks, place
+from ..serve.state import serve_stats
+from ..shard.state import ArrivalRouter, partition_ranks
 from .config import SimulationConfig, Workload
 from .master import Master
 from .report import FileStats, RunResult, ShardedRunResult
@@ -80,35 +84,6 @@ class _ShardWorkload:
         self.queries = workload.queries
         self.database = workload.database
         self.results = _ShardResults(workload.results, content)
-
-
-class _ArrivalRouter:
-    """The object the global arrival process drives in sharded serve mode.
-
-    Quacks like a master (``on_arrival`` / ``arrivals_finished``) but only
-    places: the ``i``-th arrival goes to ``place(i)`` with content id
-    ``i``.  All masters learn of arrival exhaustion at the same instant.
-    """
-
-    def __init__(
-        self, masters: List[Master], shard_cfg: ShardConfig, nqueries: int
-    ) -> None:
-        self._masters = masters
-        self._shard_cfg = shard_cfg
-        self._nqueries = nqueries
-        self._index = 0
-
-    def on_arrival(self, priority: bool) -> None:
-        index = self._index
-        self._index += 1
-        shard = place(
-            index, len(self._masters), self._shard_cfg.placement, self._nqueries
-        )
-        self._masters[shard].on_arrival(priority, content=index)
-
-    def arrivals_finished(self) -> None:
-        for master in self._masters:
-            master.arrivals_finished()
 
 
 class _Shard:
@@ -267,11 +242,8 @@ class S3aSim:
             )
             if self.mcomm is not None:
                 master.attach_shard(
-                    shard.index, self.mcomm.view(shard.index), cfg.shard
+                    shard.index, self.mcomm.view(shard.index), cfg.shard, content
                 )
-                if master.serve is not None:
-                    # Admission and steals fill the shard's content map.
-                    master.serve.content = content
             masters.append(master)
             by_rank[shard.ranks[0]] = master
             self.world.spawn(shard.ranks[0], lambda _view, m=master: m.run())
@@ -296,9 +268,12 @@ class S3aSim:
 
         if cfg.arrival is not None:
             target = (
-                masters[0]
+                masters[0].serve
                 if self.nshards == 1
-                else _ArrivalRouter(masters, cfg.shard, cfg.nqueries)
+                else ArrivalRouter(
+                    [m.serve for m in masters], [m.steal for m in masters],
+                    cfg.shard, cfg.nqueries,
+                )
             )
             env.process(
                 arrival_process(
@@ -317,10 +292,7 @@ class S3aSim:
             if self.recorder is not None:
                 for master in masters:
                     if master.serve is not None:
-                        for q in list(master.serve.arrival_t):
-                            self.recorder.discard(
-                                master.comm.global_rank, state=f"serve_q{q}"
-                            )
+                        master.serve.abandon()
                 for rank in range(cfg.nprocs):
                     self.recorder.abort(rank, elapsed)
             reports = {
@@ -334,7 +306,7 @@ class S3aSim:
     def _finalize(self, elapsed, reports, cutoff, injector, masters, by_rank, views):
         """Check the output files and collect every statistic of the run."""
         cfg = self.config
-        serving = cfg.arrival is not None
+        states = [m.serve.state for m in masters] if cfg.arrival is not None else []
 
         # Each output file must tile [base, base + expected) in one gapless
         # extent: base is the resumed prefix (plain runs only), expected
@@ -344,9 +316,8 @@ class S3aSim:
         total = expected_total = nextents = 0
         dense = True
         for shard, master, results in zip(self.shards, masters, views):
-            if serving:
-                s = master.serve
-                queries = (q for q in range(s.admitted) if q not in s.donated_q)
+            if states:
+                queries = master.serve.state.held()
             else:
                 queries = range(cfg.resume_from_query, master.cfg.nqueries)
             expected = sum(results.query_total_bytes(q) for q in queries)
@@ -392,16 +363,14 @@ class S3aSim:
                 fault_stats.update(injector.stats())
                 fault_events = list(injector.events)
 
+        serve = serve_stats(states) if states else {}
         metrics_registry = self.world.env.metrics
         if metrics_registry.enabled:
             metrics_registry.set_gauge("run.elapsed_seconds", elapsed)
-            if serving:
+            if serve:
                 # Run-wide admission counters (summed over the shards).
                 for name in ("offered", "admitted", "rejected", "shed", "completed"):
-                    metrics_registry.inc(
-                        f"serve.{name}",
-                        float(sum(getattr(m.serve, name) for m in masters)),
-                    )
+                    metrics_registry.inc(f"serve.{name}", serve[name])
             metrics_registry.set_gauge("run.nprocs", float(cfg.nprocs))
             if self.nshards > 1:
                 metrics_registry.set_gauge("shard.masters", float(self.nshards))
@@ -418,9 +387,7 @@ class S3aSim:
                 # strict equalities only apply to runs that finished.
                 fault_free=cfg.fault_plan.empty and not cutoff,
                 open_queries=(
-                    {m.shard_id: m.serve.pending for m in masters}
-                    if serving
-                    else None
+                    {i: s.pending for i, s in enumerate(states)} if states else None
                 ),
             )
         if self.nshards == 1:
@@ -437,7 +404,7 @@ class S3aSim:
                 fault_stats=fault_stats,
                 fault_events=fault_events,
                 metrics=metrics,
-                serve_stats=masters[0].serve.stats() if serving else {},
+                serve_stats=serve,
             )
         shard_reports = [[reports[r] for r in shard.ranks] for shard in self.shards]
         return ShardedRunResult(
@@ -449,41 +416,12 @@ class S3aSim:
             elapsed=elapsed,
             file_stats=file_stats,
             server_stats=server_stats,
-            serve_stats=_merged_serve_stats(masters) if serving else {},
-            shard_serve_stats=[m.serve.stats() for m in masters] if serving else [],
+            serve_stats=serve,
+            shard_serve_stats=[serve_stats([s]) for s in states],
             metrics=metrics,
             shard_elapsed=[max(r.total for r in rs) for rs in shard_reports],
             shard_reports=shard_reports,
         )
-
-
-def _merged_serve_stats(masters: List[Master]) -> Dict[str, float]:
-    """Run-wide serve summary of a sharded run: summed counters, latency
-    percentiles of the merged histograms, steal traffic and imbalance."""
-    merged = masters[0].serve.latency_summary()
-    for master in masters[1:]:
-        merged = merged.merged(master.serve.latency_summary())
-    completions = [float(m.serve.completed) for m in masters]
-    mean = sum(completions) / len(completions)
-    completed = sum(completions)
-    no_data = float("nan")
-    return {
-        "masters": float(len(masters)),
-        "offered": float(sum(m.serve.offered for m in masters)),
-        "admitted": float(sum(m.serve.admitted for m in masters)),
-        "rejected": float(sum(m.serve.rejected for m in masters)),
-        "shed": float(sum(m.serve.shed for m in masters)),
-        "completed": completed,
-        "pending": float(sum(m.serve.pending for m in masters)),
-        "donated": float(sum(m.serve.donated for m in masters)),
-        "steals": float(sum(m.serve.stolen for m in masters)),
-        "imbalance": (max(completions) / mean) if mean else 0.0,
-        "latency_mean_s": merged.mean if completed else no_data,
-        "latency_p50_s": merged.quantile(0.50) if completed else no_data,
-        "latency_p95_s": merged.quantile(0.95) if completed else no_data,
-        "latency_p99_s": merged.quantile(0.99) if completed else no_data,
-        "latency_max_s": merged.max if completed else no_data,
-    }
 
 
 def run_simulation(config: SimulationConfig):

@@ -36,6 +36,13 @@ static run, the selector's choice under hybrid-auto.  The run-level
 descriptor (``cfg.io_strategy()``) still decides the protocol facts that
 cannot vary per query: assignment gating, posted offset receives and the
 collective write.
+
+Serve mode and sharding plug in from outside.  Open-loop admission
+(:class:`~repro.serve.admission.Admission`) fills the
+:class:`~repro.core.tasks.TaskQueue` and stamps completion latency;
+work stealing between shard masters
+(:class:`~repro.shard.steal.Stealing`) moves unstarted queries.  The
+master only asks them whether it may release workers or finish.
 """
 
 from __future__ import annotations
@@ -47,29 +54,24 @@ import numpy as np
 
 from .. import mpi
 from ..mpiio.file import MPIIOFile
-from ..serve.state import ServeState
+from ..serve.admission import Admission
+from ..shard.steal import Stealing
 from .config import SimulationConfig
 from .offsets import OffsetLedger, ScoredBatchMeta, merge_query
 from .phases import Phase, PhaseTimer
 from .protocol import (
     ASSIGN_BYTES,
-    Donate,
-    DonatedQuery,
     NOTICE_BYTES,
     OffsetEntry,
     OffsetMessage,
     Release,
     ScoreMessage,
-    STEAL_BYTES,
-    Steal,
     TAG_ASSIGN,
-    TAG_DONATE,
     TAG_HEARTBEAT,
     TAG_OFFSETS,
     TAG_REJOIN,
     TAG_REQUEST,
     TAG_SCORES,
-    TAG_STEAL,
     TAG_WRITE_ACK,
     TAG_WRITTEN,
     TaskAssignment,
@@ -77,6 +79,7 @@ from .protocol import (
     WrittenNotice,
 )
 from .strategies import IOStrategy, get_strategy
+from .tasks import TaskQueue
 
 
 class _Issued:
@@ -123,25 +126,25 @@ class Master:
         self.timer = PhaseTimer(comm.env, rank=comm.global_rank, recorder=recorder)
         self.recorder = recorder
 
-        # Serve mode (open-loop arrivals): the task queue starts empty and
-        # grows as queries are admitted; batch mode pre-loads it in
-        # (query, fragment) order (a resumed run skips the queries already
-        # written by the failed run).
-        self.serve: Optional[ServeState] = (
-            ServeState(cfg.arrival) if cfg.arrival is not None else None
-        )
+        # A closed batch pre-loads the task queue in (query, fragment)
+        # order (a resumed run skips the queries the failed run wrote); in
+        # serve mode it starts empty and admission fills it.
+        self.queue = TaskQueue()
+        if cfg.arrival is None:
+            for q in range(cfg.resume_from_query, cfg.nqueries):
+                self.queue.add_query(q, cfg.nfragments)
+        #: Serve mode's open-loop admission (``None`` in a closed batch).
+        self.serve: Optional[Admission] = None
+        if cfg.arrival is not None:
+            self.serve = Admission(
+                cfg.arrival, self.queue, comm.env,
+                nfragments=cfg.nfragments,
+                priority_lane=not self.strategy.gates_assignment,
+                recorder=recorder, rank=comm.global_rank, wake=self._wakeup,
+            )
         #: Worker-writing serve runs need on-disk acknowledgements to stamp
         #: result-durable latency (MW knows at its own write return).
         self.serve_acks = self.serve is not None and self.strategy.parallel_io
-        if self.serve is not None:
-            self.tasks: List[TaskAssignment] = []
-        else:
-            self.tasks = [
-                TaskAssignment(q, f)
-                for q in range(cfg.resume_from_query, cfg.nqueries)
-                for f in range(cfg.nfragments)
-            ]
-        self.next_task = 0
 
         # Gathered score metadata: query -> fragment -> meta.
         self.received: Dict[int, Dict[int, ScoredBatchMeta]] = {}
@@ -175,17 +178,10 @@ class Master:
         self.done_set: Set[int] = set()
         self.pending_sends: List = []
 
-        # -- multi-master sharding (attach_shard wires these) ---------------
         #: This master's shard index (0 in single-master runs).
         self.shard_id = 0
-        #: Master-to-master communicator view (sharded runs only).
-        self._mcomm = None
-        self._shard_cfg = None
-        #: True once this master's steal protocol has concluded (always
-        #: true outside sharded runs, so the termination conditions below
-        #: are untouched by default).
-        self._steal_done = True
-        self._steal_wake = None
+        #: Work stealing between shard masters (sharded serve runs only).
+        self.steal: Optional[Stealing] = None
 
         # -- fault tolerance ------------------------------------------------
         self.ft_active = cfg.fault_tolerance_active()
@@ -215,18 +211,26 @@ class Master:
         if m.enabled:
             m.inc(f"faults.{name}", n, rank=self.comm.rank)
 
-    def attach_shard(self, shard_id: int, mcomm, shard_cfg) -> None:
+    def attach_shard(self, shard_id: int, mcomm, shard_cfg, content) -> None:
         """Wire this master into a multi-master group (before ``run``).
 
         ``mcomm`` is this master's view of the master-to-master
-        communicator (local rank == shard index); the steal protocol only
-        activates when the shard config enables it and peers exist.
+        communicator (local rank == shard index).  In serve mode admission
+        and steals fill ``content``, the shard's slot -> content id map,
+        and stealing starts when the shard config enables it.
         """
         self.shard_id = shard_id
-        self._mcomm = mcomm
-        self._shard_cfg = shard_cfg
-        if shard_cfg.steal and shard_cfg.nshards > 1:
-            self._steal_done = False
+        if self.serve is None:
+            return
+        self.serve.shard = shard_id
+        self.serve.state.content = content
+        if shard_cfg.steal:
+            queue, parked = self.queue, self.pending_requests
+            self.steal = Stealing(
+                mcomm, shard_id, shard_cfg, self.cfg.nqueries, self.serve,
+                starving=lambda: queue.exhausted() and bool(parked),
+                wake=self._wakeup,
+            )
 
     # -- pending-request parking (FIFO deque + O(1) membership set) --------
     def _park(self, worker: int) -> None:
@@ -240,22 +244,23 @@ class Master:
 
     # -- assignability ----------------------------------------------------
     def _task_assignable(self) -> bool:
-        if self.next_task >= len(self.tasks):
+        if self.queue.exhausted():
             return False
         if not self.strategy.gates_assignment:
             return True
         # WW-Coll: only hand out tasks of the current write group.
-        group = self.cfg.group_of(self.tasks[self.next_task].query_id)
+        group = self.cfg.group_of(self.queue.peek().query_id)
         return group <= self.groups_dispatched
-
-    def _tasks_exhausted(self) -> bool:
-        return self.next_task >= len(self.tasks)
 
     def _groups_target(self) -> int:
         """Write groups this run must dispatch (dynamic in serve mode)."""
         if self.serve is not None:
-            return self.serve.admitted
+            return self.serve.state.admitted
         return self.cfg.ngroups
+
+    def _donated(self):
+        """Local slots whose query was donated to a peer master."""
+        return self.serve.state.donated_q if self.serve is not None else ()
 
     def _release_ok(self) -> bool:
         """May a worker be told "no more work"?
@@ -269,40 +274,32 @@ class Master:
         loses zero bytes, so a released worker never needs recalling.
         """
         if self.serve is not None:
-            # Sharded: also hold releases until this master's steal
-            # protocol concludes — a stolen query needs live workers.
-            return self.serve.arrivals_done and self._steal_done
+            # Sharded: also hold releases until this master's thief
+            # concludes — a stolen query needs live workers.
+            return self.serve.state.arrivals_done and (
+                self.steal is None or self.steal.done
+            )
         if not self.ft_active:
             return True
-        return (
-            self.groups_dispatched >= self.cfg.ngroups
-            and not self.issued
-            and not self.reissue
+        return self.groups_dispatched >= self.cfg.ngroups and not (
+            self.issued or self.reissue
         )
 
     def _finished(self) -> bool:
-        base = (
-            self.groups_dispatched >= self._groups_target()
-            and self.done_workers >= self.cfg.nworkers
-        )
+        if (
+            self.groups_dispatched < self._groups_target()
+            or self.done_workers < self.cfg.nworkers
+        ):
+            return False
         if self.serve is not None:
-            return (
-                base
-                and self.serve.arrivals_done
-                and not self.serve.outstanding
-                and self._tasks_exhausted()
-            )
+            s = self.serve.state
+            return s.arrivals_done and not s.outstanding and self.queue.exhausted()
         if not self.ft_active:
-            return base
-        return (
-            base
-            and not self.issued
-            and not self.reissue
-            and self._tasks_exhausted()
-        )
+            return True
+        return not self.issued and not self.reissue and self.queue.exhausted()
 
     def _group_complete(self, group: int) -> bool:
-        donated = self.serve.donated_q if self.serve is not None else ()
+        donated = self._donated()
         for q in self.cfg.queries_in_group(group):
             if q in donated:
                 continue  # donated away: a zero-size placeholder block
@@ -332,12 +329,10 @@ class Master:
             ack_recv = comm.irecv(tag=TAG_WRITE_ACK)
         if self.ft_active:
             comm.env.process(self._watchdog(), name="master-watchdog")
-        steal_recv = None
-        if self._mcomm is not None and not self._steal_done:
-            steal_recv = self._mcomm.irecv(tag=TAG_STEAL)
-            comm.env.process(
-                self._steal_loop(), name=f"steal-loop-{self.shard_id}"
-            )
+        steal, probe_recv = self.steal, None
+        if steal is not None:
+            probe_recv = steal.listen()
+            comm.env.process(steal.thief(), name=f"steal-loop-{self.shard_id}")
 
         while not self._finished():
             yield from self._make_progress()
@@ -351,8 +346,8 @@ class Master:
             events = [request_recv.done_event, score_recv.done_event]
             if ack_recv is not None:
                 events.append(ack_recv.done_event)
-            if steal_recv is not None:
-                events.append(steal_recv.done_event)
+            if probe_recv is not None:
+                events.append(probe_recv.done_event)
             if self.ft_active or self.serve is not None:
                 self._wake = comm.env.event()
                 events.append(self._wake)
@@ -375,19 +370,16 @@ class Master:
                 ack_recv = comm.irecv(tag=TAG_WRITE_ACK)
                 self._handle_ack(ack)
 
-            if steal_recv is not None and steal_recv.completed:
-                probe: Steal = steal_recv.done_event.value
-                steal_recv = self._mcomm.irecv(tag=TAG_STEAL)
-                self._handle_steal(probe)
+            if probe_recv is not None and probe_recv.completed:
+                probe = probe_recv.done_event.value
+                probe_recv = steal.listen()
+                self.pending_sends.append(steal.donate(probe))
 
         self._watchdog_stop = True
-        if steal_recv is not None:
-            # Keep answering late probes (with empty donations) after this
-            # master has finished: a hungry peer's termination protocol
-            # waits on a reply from every shard.  A side process never
-            # gates the run's own termination.
+        if steal is not None:
+            # A side process never gates the run's own termination.
             comm.env.process(
-                self._steal_responder(steal_recv),
+                steal.responder(probe_recv),
                 name=f"steal-responder-{self.shard_id}",
             )
         # Drain any in-flight offset/notice sends before the final barrier.
@@ -418,12 +410,13 @@ class Master:
             # fault tolerance, once no crash could ever create new work).
             while (
                 self.pending_requests
-                and self._tasks_exhausted()
+                and self.queue.exhausted()
                 and self._release_ok()
             ):
                 yield from self._send_no_more_work(self._pop_parked())
                 moved = True
-        self._steal_nudge()
+        if self.steal is not None:
+            self.steal.nudge()
 
     # -- request handling -----------------------------------------------------------
     def _handle_request(self, worker: int):
@@ -437,13 +430,14 @@ class Master:
             return
         if self._task_assignable():
             yield from self._respond(worker)
-        elif self._tasks_exhausted() and self._release_ok():
+        elif self.queue.exhausted() and self._release_ok():
             yield from self._send_no_more_work(worker)
         elif worker not in self._pending_set:
             # WW-Coll gating (or fault-tolerant release hold): park the
             # request until the group advances / release becomes safe.
             self._park(worker)
-            self._steal_nudge()
+            if self.steal is not None:
+                self.steal.nudge()
 
     def _verify_resume_prefix(self):
         """Checkpoint-restart: read the failed run's prefix back before any
@@ -490,14 +484,12 @@ class Master:
         return strategy
 
     def _respond(self, worker: int):
-        task = self.tasks[self.next_task]
-        self.next_task += 1
+        task = self.queue.pop()
         q = task.query_id
         task = TaskAssignment(q, task.fragment_id, self._query_strategy(q).name)
         self.task_owner[(task.query_id, task.fragment_id)] = worker
         if self.serve is not None:
-            # A started query has work in flight and can no longer be shed.
-            self.serve.started.add(task.query_id)
+            self.serve.start(q)
         yield from self.timer.measure(
             Phase.DATA_DISTRIBUTION,
             self.comm.send(worker, TAG_ASSIGN, ASSIGN_BYTES, task),
@@ -506,7 +498,7 @@ class Master:
     def _send_no_more_work(self, worker: int):
         self.done_set.add(worker)
         payload = (
-            Release(final_groups=self.serve.admitted)
+            Release(final_groups=self.serve.state.admitted)
             if self.serve is not None
             else None
         )
@@ -615,18 +607,9 @@ class Master:
                 # the recompute, if it hasn't been assigned yet — if it
                 # has, the duplicate-score path discards its output).
                 self._count("reissues_cancelled")
-                self._unqueue(key)
+                self.queue.unqueue(*key)
             if self.serve is not None:
-                # Worker-writing: a query is result-durable once every one
-                # of its fragment batches has been acknowledged on disk.
-                q = key[0]
-                left = self.serve.outstanding.get(q)
-                if left is not None:
-                    if left <= 1:
-                        del self.serve.outstanding[q]
-                        self._query_durable(q)
-                    else:
-                        self.serve.outstanding[q] = left - 1
+                self.serve.write_acked(key[0])
 
     # -- group dispatch ----------------------------------------------------------------
     def _dispatch_group(self, group: int):
@@ -642,9 +625,15 @@ class Master:
         """
         per_worker: Dict[int, List[OffsetEntry]] = {}
         c = self.comm.env.check
+        donated = self._donated()
         for q in self.cfg.queries_in_group(group):
-            if self._query_donated(q):
-                self._ledger_placeholder(q)
+            if q in donated:
+                # The strictly in-order ledger still allocates a donated
+                # query's block, at zero size: the file stays dense and
+                # later queries' bases are unchanged.
+                base = self.ledger.base_for(q, 0)
+                if c.enabled:
+                    c.offsets_assigned(q, base, 0, {}, {}, shard=self.shard_id)
                 continue
             strategy = self._query_strategy(q)
             batches = list(self.received[q].values())
@@ -668,7 +657,7 @@ class Master:
                 )
                 if self.serve is not None:
                     # MW: the master's own write return is result-durable.
-                    self._query_durable(q)
+                    self.serve.durable(q)
                 continue
             for frag, offsets in offsets_by_frag.items():
                 worker = self.task_owner[(q, frag)]
@@ -677,8 +666,7 @@ class Master:
                 )
             if self.serve is not None:
                 # WW: result-durable once every batch's write is acked.
-                s = self.serve.outstanding
-                s[q] = s.get(q, 0) + len(offsets_by_frag)
+                self.serve.writes_issued(q, len(offsets_by_frag))
         # isend: the master moves on; completions are drained at exit.
         if self.strategy.master_writes:
             if self.cfg.query_sync:
@@ -721,293 +709,6 @@ class Master:
                 pos = int(off) - base
                 block[pos : pos + int(size)] = chunk
         return bytes(block)
-
-    # -- serve mode: arrivals, admission, latency --------------------------------
-    def on_arrival(self, priority: bool, content: Optional[int] = None) -> None:
-        """Admission decision for one arrival (synchronous, open loop).
-
-        An arrival that finds the pending queue full is either turned away
-        (``reject``) or — under ``shed`` — takes over the slot of the
-        youngest not-yet-started non-priority query, whose id it reuses
-        (the workload is a pure function of the query id — or of the slot's
-        content id in sharded runs — so the slot's content is unchanged;
-        only its arrival stamp and lane move).
-
-        ``content`` is the global content id in sharded runs (placement
-        assigns each arrival a shard *and* a content id); ``None`` means
-        "the slot id", the single-master identity mapping.
-        """
-        s = self.serve
-        env = self.comm.env
-        s.offered += 1
-        c = env.check
-        if c.enabled:
-            c.arrival("offered", shard=self.shard_id)
-        if s.pending < s.cfg.max_pending:
-            self._admit(priority, content)
-        elif s.cfg.policy == "shed":
-            victim = self._try_shed()
-            if victim is None:
-                s.rejected += 1
-                if c.enabled:
-                    c.arrival("rejected", shard=self.shard_id)
-            else:
-                s.shed += 1
-                if c.enabled:
-                    c.arrival("shed", shard=self.shard_id)
-                s.arrival_t[victim] = env.now
-                s.priority.discard(victim)
-                if priority:
-                    s.priority.add(victim)
-                if self.recorder is not None:
-                    rank = self.comm.global_rank
-                    self.recorder.discard(rank, state=f"serve_q{victim}")
-                    self.recorder.begin(rank, f"serve_q{victim}", env.now)
-                self._enqueue_query(victim, priority)
-                if c.enabled:
-                    c.arrival("admitted", shard=self.shard_id)
-        else:
-            s.rejected += 1
-            if c.enabled:
-                c.arrival("rejected", shard=self.shard_id)
-        self._wakeup()
-
-    def arrivals_finished(self) -> None:
-        """The arrival process is done; the admitted count is now final."""
-        self.serve.arrivals_done = True
-        self._wakeup()
-        self._steal_nudge()
-
-    def _admit(self, priority: bool, content: Optional[int] = None) -> None:
-        s = self.serve
-        q = s.admitted
-        s.admitted += 1
-        s.arrival_t[q] = self.comm.env.now
-        s.content[q] = q if content is None else content
-        if priority:
-            s.priority.add(q)
-        if self.recorder is not None:
-            self.recorder.begin(
-                self.comm.global_rank, f"serve_q{q}", self.comm.env.now
-            )
-        self._enqueue_query(q, priority)
-        c = self.comm.env.check
-        if c.enabled:
-            c.arrival("admitted", shard=self.shard_id)
-
-    def _enqueue_query(self, q: int, priority: bool) -> None:
-        new = [TaskAssignment(q, f) for f in range(self.cfg.nfragments)]
-        if priority and not self.strategy.gates_assignment:
-            # Priority lane: jump the unassigned queue.  Suppressed under
-            # WW-Coll, whose group gate only opens in FIFO query order —
-            # front-inserting a later query's tasks would deadlock it.
-            self.tasks[self.next_task : self.next_task] = new
-        else:
-            self.tasks.extend(new)
-
-    def _try_shed(self) -> Optional[int]:
-        """Pick and evict the youngest sheddable query; return its id."""
-        s = self.serve
-        for q in range(s.admitted - 1, -1, -1):
-            if q in s.started or q in s.priority or q not in s.arrival_t:
-                continue
-            # Remove its (still unassigned) tasks from the queue.
-            self.tasks = self.tasks[: self.next_task] + [
-                t for t in self.tasks[self.next_task :] if t.query_id != q
-            ]
-            return q
-        return None
-
-    def _query_durable(self, q: int) -> None:
-        """Arrival → result-durable: stamp the completion latency."""
-        s = self.serve
-        now = self.comm.env.now
-        latency = now - s.arrival_t.pop(q)
-        s.latency.observe(latency)
-        s.completed += 1
-        s.started.discard(q)
-        s.priority.discard(q)
-        m = self.comm.env.metrics
-        if m.enabled:
-            m.observe("serve.latency_seconds", latency)
-        if self.recorder is not None:
-            self.recorder.end(self.comm.global_rank, f"serve_q{q}", now)
-        c = self.comm.env.check
-        if c.enabled:
-            c.arrival_completed(shard=self.shard_id)
-        self._wakeup()
-
-    # -- multi-master sharding: work stealing ------------------------------------
-    def _query_donated(self, q: int) -> bool:
-        return self.serve is not None and q in self.serve.donated_q
-
-    def _ledger_placeholder(self, q: int) -> None:
-        """Allocate a donated query's block: the offset ledger is strictly
-        in-order, so the slot still occupies a zero-size span (the output
-        file stays dense and later queries' bases are unchanged)."""
-        base = self.ledger.base_for(q, 0)
-        c = self.comm.env.check
-        if c.enabled:
-            c.offsets_assigned(q, base, 0, {}, {}, shard=self.shard_id)
-
-    def _hungry(self) -> bool:
-        """Starving: workers are asking and there is nothing to hand out."""
-        return (
-            not self._steal_done
-            and self._tasks_exhausted()
-            and bool(self.pending_requests)
-        )
-
-    def _steal_nudge(self) -> None:
-        if (
-            self._steal_wake is not None
-            and not self._steal_wake.triggered
-            and self._hungry()
-        ):
-            self._steal_wake.succeed()
-
-    def _steal_loop(self):
-        """Side process, the thief half of the protocol: when this shard
-        starves, probe the peer masters round-robin for unstarted queries.
-
-        One probe is in flight at a time (so a single posted Donate receive
-        suffices).  A round in which every peer donates nothing is *final*
-        once the global arrival process has finished — nothing can refill
-        the peers, so the thief concludes (``_steal_done``) and unblocks
-        the release path.  Before that, an empty round backs off
-        ``steal_retry_s`` and tries again.
-        """
-        env = self.comm.env
-        s = self.serve
-        mcomm = self._mcomm
-        nshards = self._shard_cfg.nshards
-        peers = [(self.shard_id + k) % nshards for k in range(1, nshards)]
-        donate_recv = mcomm.irecv(tag=TAG_DONATE)
-        rr = 0
-        while not self._steal_done:
-            if not self._hungry():
-                self._steal_wake = env.event()
-                yield self._steal_wake
-                continue
-            final = s.arrivals_done
-            got = 0
-            for k in range(len(peers)):
-                peer = peers[(rr + k) % len(peers)]
-                capacity = self.cfg.nqueries - s.admitted
-                if capacity <= 0:
-                    break
-                probe = Steal(shard=self.shard_id, capacity=capacity)
-                req = mcomm.isend(peer, TAG_STEAL, STEAL_BYTES, probe, oob=True)
-                yield from req.wait()
-                yield donate_recv.done_event
-                donate: Donate = donate_recv.done_event.value
-                donate_recv = mcomm.irecv(tag=TAG_DONATE)
-                for dq in donate.queries:
-                    self._admit_stolen(dq)
-                    got += 1
-                if got and not self._hungry():
-                    break
-            rr = (rr + 1) % len(peers)
-            if got:
-                continue
-            if final:
-                self._steal_done = True
-                self._wakeup()
-                return
-            yield env.timeout(self._shard_cfg.steal_retry_s)
-
-    def _handle_steal(self, probe: Steal) -> None:
-        """Donor half: answer a peer's probe with up to half of the
-        unstarted, non-priority pending queries (possibly none).
-
-        The youngest half goes — the oldest pending queries are next in
-        line for local assignment, so shipping the tail minimizes wasted
-        locality, mirroring the shed policy's victim preference.
-        """
-        s = self.serve
-        queries: List[DonatedQuery] = []
-        if s is not None:
-            eligible = [
-                q
-                for q in range(s.admitted)
-                if q in s.arrival_t
-                and q not in s.started
-                and q not in s.priority
-                and q not in s.donated_q
-            ]
-            count = min((len(eligible) + 1) // 2, max(probe.capacity, 0))
-            victims = eligible[len(eligible) - count :]
-            if victims:
-                doomed = set(victims)
-                self.tasks = self.tasks[: self.next_task] + [
-                    t
-                    for t in self.tasks[self.next_task :]
-                    if t.query_id not in doomed
-                ]
-                env = self.comm.env
-                c = env.check
-                m = env.metrics
-                for q in victims:
-                    at = s.arrival_t.pop(q)
-                    s.donated_q.add(q)
-                    s.donated += 1
-                    queries.append(
-                        DonatedQuery(content=s.content.get(q, q), arrival_t=at)
-                    )
-                    if self.recorder is not None:
-                        self.recorder.discard(
-                            self.comm.global_rank, state=f"serve_q{q}"
-                        )
-                    if c.enabled:
-                        c.arrival("donated", shard=self.shard_id)
-                    if m.enabled:
-                        m.inc("shard.donated_queries", shard=self.shard_id)
-        reply = Donate(shard=self.shard_id, queries=tuple(queries))
-        self.pending_sends.append(
-            self._mcomm.isend(
-                probe.shard, TAG_DONATE, reply.wire_bytes(), reply, oob=True
-            )
-        )
-
-    def _admit_stolen(self, dq: DonatedQuery) -> None:
-        """Thief half: a donated query enters as a fresh local admission,
-        keeping its original arrival stamp (honest end-to-end latency) and
-        its global content id (the workload is a function of the content,
-        which survives the transfer)."""
-        s = self.serve
-        q = s.admitted
-        s.admitted += 1
-        s.stolen += 1
-        s.arrival_t[q] = dq.arrival_t
-        s.content[q] = dq.content
-        if self.recorder is not None:
-            self.recorder.begin(
-                self.comm.global_rank, f"serve_q{q}", dq.arrival_t
-            )
-        self._enqueue_query(q, False)
-        env = self.comm.env
-        c = env.check
-        if c.enabled:
-            c.arrival("stolen", shard=self.shard_id)
-            c.arrival("admitted", shard=self.shard_id)
-        m = env.metrics
-        if m.enabled:
-            m.inc("shard.steals", shard=self.shard_id)
-        self._wakeup()
-
-    def _steal_responder(self, steal_recv):
-        """Post-exit donor: answer every late probe with an empty Donate."""
-        mcomm = self._mcomm
-        while True:
-            if not steal_recv.completed:
-                yield steal_recv.done_event
-            probe: Steal = steal_recv.done_event.value
-            steal_recv = mcomm.irecv(tag=TAG_STEAL)
-            reply = Donate(shard=self.shard_id, queries=())
-            req = mcomm.isend(
-                probe.shard, TAG_DONATE, reply.wire_bytes(), reply, oob=True
-            )
-            yield from req.wait()
 
     # -- fault tolerance: detection and recovery --------------------------------
     def _watchdog(self):
@@ -1094,7 +795,7 @@ class Master:
             if key in self.reissue:
                 # The reassigned recompute died too; queue it again (the
                 # original offsets stay parked in the reissue table).
-                requeued += self._requeue(key)
+                requeued += self.queue.requeue(q, f)
                 continue
             rec = self.issued.get(key)
             if rec is not None:
@@ -1102,12 +803,12 @@ class Master:
                 # and recompute the batch.
                 self.issued.pop(key)
                 self.reissue[key] = rec
-                requeued += self._requeue(key)
+                requeued += self.queue.requeue(q, f)
                 continue
             meta = self.received.get(q, {}).get(f)
             if meta is None:
                 # Assigned but no scores delivered: plain reassignment.
-                requeued += self._requeue(key)
+                requeued += self.queue.requeue(q, f)
                 continue
             if (
                 self._query_strategy(q).parallel_io
@@ -1117,32 +818,11 @@ class Master:
                 # batch) died with it before the group went out: invalidate
                 # the entry so the group completes only after a recompute.
                 del self.received[q][f]
-                requeued += self._requeue(key)
+                requeued += self.queue.requeue(q, f)
             # Otherwise the bytes are safe: master-buffered (MW) or
             # written-and-acknowledged (WW).
         if requeued:
             self._count("tasks_reassigned", requeued)
-
-    def _requeue(self, key: Tuple[int, int]) -> int:
-        """Insert (q, f) at the head of the unassigned queue (idempotent)."""
-        q, f = key
-        for task in self.tasks[self.next_task :]:
-            if task.query_id == q and task.fragment_id == f:
-                return 0
-        # Front insertion keeps the recompute inside the currently-gated
-        # write group — appending would deadlock WW-Coll, whose gate never
-        # opens past a group with a missing batch.
-        self.tasks.insert(self.next_task, TaskAssignment(q, f))
-        return 1
-
-    def _unqueue(self, key: Tuple[int, int]) -> None:
-        """Drop a not-yet-assigned requeued task again."""
-        q, f = key
-        for i in range(self.next_task, len(self.tasks)):
-            task = self.tasks[i]
-            if task.query_id == q and task.fragment_id == f:
-                del self.tasks[i]
-                return
 
     def _wakeup(self) -> None:
         if self._wake is not None and not self._wake.triggered:

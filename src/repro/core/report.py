@@ -135,7 +135,7 @@ class ShardedRunResult:
     #: ``masters``, ``steals``, ``donated`` and the completion
     #: ``imbalance`` (max/mean of per-shard completions).
     serve_stats: Dict[str, float] = field(default_factory=dict)
-    #: Serve mode only: one ``ServeState.stats()`` dict per shard.
+    #: Serve mode only: one ``serve_stats([state])`` dict per shard.
     shard_serve_stats: List[Dict[str, float]] = field(default_factory=list)
     metrics: Optional[MetricsSnapshot] = None
     #: Per shard: when its slowest rank finished (each shard's final

@@ -173,15 +173,17 @@ def arrival_times(
         yield float(t), priority
 
 
-def arrival_process(env, master, cfg, streams: RandomStreams, limit: int):
-    """Kernel process: inject arrivals into the running master.
+def arrival_process(env, target, cfg, streams: RandomStreams, limit: int):
+    """Kernel process: inject arrivals into the running service.
 
-    ``master`` needs ``on_arrival(priority)`` and ``arrivals_finished()``;
-    both are synchronous admission decisions taken at the arrival instant
-    (open loop: a rejected arrival never retries).
+    ``target`` (a master's :class:`~repro.serve.admission.Admission`, or
+    the router of a sharded run) needs ``on_arrival(priority)`` and
+    ``arrivals_finished()``; both are synchronous admission decisions
+    taken at the arrival instant (open loop: a rejected arrival never
+    retries).
     """
     for t, priority in arrival_times(cfg, streams, limit):
         if t > env.now:
             yield env.timeout(t - env.now)
-        master.on_arrival(priority)
-    master.arrivals_finished()
+        target.on_arrival(priority)
+    target.arrivals_finished()

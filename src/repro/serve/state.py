@@ -1,11 +1,12 @@
-"""Serve-mode bookkeeping shared by the master and the app runner.
+"""Serve-mode bookkeeping and the serve statistics built from it.
 
 :class:`ServeState` holds everything the open-loop service layer adds on
 top of the batch master: admission counters, per-query arrival stamps, the
 priority set, the outstanding-write map (worker-writing durability), and
-the completion-latency histogram.  It is pure bookkeeping — it schedules
-nothing — so the master's event sequence with ``arrival=None`` is
-untouched.
+the completion-latency histogram.  It is pure bookkeeping; the decisions
+that edit it are :class:`~repro.serve.admission.Admission`'s.
+:func:`serve_stats` turns one master's state, or a sharded run's states,
+into the ``serve_stats`` dictionary of the run result.
 
 Sharded (multi-master) runs add two transfer counters: ``donated`` counts
 queries this shard handed to a thief, ``stolen`` counts queries admitted
@@ -17,7 +18,7 @@ so admission capacity is freed the moment the query ships.
 from __future__ import annotations
 
 import math
-from typing import Dict, Set
+from typing import Dict, Iterator, Sequence, Set
 
 from ..obs.metrics import DurationHistogram, HistogramSummary
 from .arrivals import ArrivalConfig
@@ -87,32 +88,49 @@ class ServeState:
             buckets=tuple(h.buckets),
         )
 
-    def stats(self) -> Dict[str, float]:
-        """The ``RunResult.serve_stats`` dictionary.
+    def held(self) -> Iterator[int]:
+        """Admitted slots whose bytes this master writes (a donated slot
+        is a zero-size placeholder; the thief's file carries its bytes)."""
+        return (q for q in range(self.admitted) if q not in self.donated_q)
 
-        With zero completions the latency fields are NaN, not 0.0 — a run
-        cut off before its first durable query has *unknown* latency, and
-        0.0 would be indistinguishable from a genuinely instant service.
-        """
-        summary = self.latency_summary()
-        no_data = float("nan")
-        stats = {
-            "offered": float(self.offered),
-            "admitted": float(self.admitted),
-            "rejected": float(self.rejected),
-            "shed": float(self.shed),
-            "completed": float(self.completed),
-            "pending": float(self.pending),
-            "latency_mean_s": summary.mean if self.completed else no_data,
-            "latency_p50_s": summary.quantile(0.50) if self.completed else no_data,
-            "latency_p95_s": summary.quantile(0.95) if self.completed else no_data,
-            "latency_p99_s": summary.quantile(0.99) if self.completed else no_data,
-            "latency_max_s": summary.max if self.completed else no_data,
-        }
-        if self.donated or self.stolen:
-            stats["donated"] = float(self.donated)
-            stats["stolen"] = float(self.stolen)
-        return stats
+
+def serve_stats(states: Sequence[ServeState]) -> Dict[str, float]:
+    """The serve statistics of one master, or the run-wide summary of a
+    sharded run's masters.
+
+    Counters are summed and latency percentiles come from the merged
+    histograms.  One master reports ``donated``/``stolen`` when it moved
+    work; a sharded summary always adds ``masters``, ``donated``,
+    ``steals`` and the completion ``imbalance`` (max/mean of per-shard
+    completions).
+
+    With zero completions the latency fields are NaN, not 0.0 — a run
+    cut off before its first durable query has *unknown* latency, and
+    0.0 would be indistinguishable from a genuinely instant service.
+    """
+    sharded = len(states) > 1
+    stats = {"masters": float(len(states))} if sharded else {}
+    for name in ("offered", "admitted", "rejected", "shed", "completed", "pending"):
+        stats[name] = float(sum(getattr(s, name) for s in states))
+    completed = stats["completed"]
+    if sharded:
+        mean = completed / len(states)
+        stats["donated"] = float(sum(s.donated for s in states))
+        stats["steals"] = float(sum(s.stolen for s in states))
+        stats["imbalance"] = max(s.completed for s in states) / mean if mean else 0.0
+    summary = states[0].latency_summary()
+    for s in states[1:]:
+        summary = summary.merged(s.latency_summary())
+    no_data = float("nan")
+    stats["latency_mean_s"] = summary.mean if completed else no_data
+    stats["latency_p50_s"] = summary.quantile(0.50) if completed else no_data
+    stats["latency_p95_s"] = summary.quantile(0.95) if completed else no_data
+    stats["latency_p99_s"] = summary.quantile(0.99) if completed else no_data
+    stats["latency_max_s"] = summary.max if completed else no_data
+    if not sharded and (states[0].donated or states[0].stolen):
+        stats["donated"] = float(states[0].donated)
+        stats["stolen"] = float(states[0].stolen)
+    return stats
 
 
 def format_latency(value: float) -> str:

@@ -1,7 +1,10 @@
-"""Multi-master sharding: shard layout, placement and steal policy.
+"""Multi-master sharding: shard layout, placement and work stealing.
 
-``ShardConfig`` lives in :mod:`repro.shard.state` and is imported eagerly
-(:mod:`repro.core.config` needs it at class-definition time).  The runner
+``ShardConfig``, ``place`` and the ``ArrivalRouter`` of sharded serve
+runs live in :mod:`repro.shard.state`, imported eagerly
+(:mod:`repro.core.config` needs it at class-definition time).  The steal
+protocol between masters is :class:`repro.shard.steal.Stealing`; import
+it from there (it needs :mod:`repro.core.protocol`).  The runner
 is :class:`repro.core.app.S3aSim`, which builds every run, sharded or not;
 ``MasterGroup`` is its historical name.  Both it and
 :class:`~repro.core.report.ShardedRunResult` load lazily, because

@@ -4,7 +4,7 @@ A sharded run partitions the MPI world into ``nshards`` contiguous rank
 blocks; each block runs one independent master (its rank 0) plus a worker
 pool, all sharing the simulated network and PVFS volume.  Placement
 decides, at the arrival instant, which shard admits a query; the
-work-stealing protocol (see :mod:`repro.core.app`) rebalances later if
+work-stealing protocol (see :mod:`repro.shard.steal`) rebalances later if
 placement turns out skewed.
 
 Placement consumes no randomness — it is a pure function of the global
@@ -79,3 +79,35 @@ def place(arrival_index: int, nshards: int, placement: str, nqueries: int) -> in
     # range: contiguous arrival-index blocks (skewed under open arrivals:
     # early shards fill first and later shards sit idle until their block).
     return min(arrival_index * nshards // max(nqueries, 1), nshards - 1)
+
+
+class ArrivalRouter:
+    """What the global arrival process drives in sharded serve mode.
+
+    Offers the ``i``-th arrival to shard ``place(i)``'s admission with
+    content id ``i``.  Every shard learns of arrival exhaustion at the
+    same instant, and its thief (when stealing) gets a nudge.
+    """
+
+    def __init__(
+        self, admissions, thieves, shard_cfg: ShardConfig, nqueries: int
+    ) -> None:
+        self._admissions = admissions
+        self._thieves = thieves
+        self._shard_cfg = shard_cfg
+        self._nqueries = nqueries
+        self._index = 0
+
+    def on_arrival(self, priority: bool) -> None:
+        index = self._index
+        self._index += 1
+        shard = place(
+            index, len(self._admissions), self._shard_cfg.placement, self._nqueries
+        )
+        self._admissions[shard].on_arrival(priority, content=index)
+
+    def arrivals_finished(self) -> None:
+        for admission, thief in zip(self._admissions, self._thieves):
+            admission.arrivals_finished()
+            if thief is not None:
+                thief.nudge()

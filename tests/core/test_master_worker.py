@@ -33,7 +33,7 @@ class TestMasterBehaviour:
             Master.__init__ = original_init
 
         master = master_holder["master"]
-        assert master.next_task == len(master.tasks) == 4 * 8
+        assert master.queue.next == len(master.queue.tasks) == 4 * 8
         owners = master.task_owner
         assert len(owners) == 32
         assert set(owners.values()) <= {1, 2, 3}
@@ -235,7 +235,7 @@ class TestProtocolEdgeCases:
 
     def test_request_after_exhaustion_releases_idempotently(self):
         env, master = self._master(small())
-        master.next_task = len(master.tasks)
+        master.queue.next = len(master.queue.tasks)
         _drive(env, master._handle_request(1))
         assert master.done_set == {1}
         # The same worker asking again is released again, not double-counted.

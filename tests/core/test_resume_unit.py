@@ -42,12 +42,12 @@ class TestResumeValidation:
         cfg = SimulationConfig(nprocs=3, nqueries=4, nfragments=2,
                                resume_from_query=2)
         master = make_master(cfg, resume_block_sizes=[100, 50])
-        queries = {t.query_id for t in master.tasks}
+        queries = {t.query_id for t in master.queue.tasks}
         assert queries == {2, 3}
-        assert len(master.tasks) == 4
+        assert len(master.queue.tasks) == 4
 
     def test_fresh_run_needs_no_sizes(self):
         cfg = SimulationConfig(nprocs=3, nqueries=4, nfragments=2)
         master = make_master(cfg)
         assert master.ledger.next_query == 0
-        assert len(master.tasks) == 8
+        assert len(master.queue.tasks) == 8

@@ -11,11 +11,12 @@ arrival stamp — may leak into the reused slot.
 import pytest
 
 from repro.core import S3aSim, SimulationConfig
-from repro.core.master import Master
+from repro.core.tasks import TaskQueue
 from repro.serve import ArrivalConfig
+from repro.serve.admission import Admission
 
 
-def make_master(max_pending=2, **kwargs):
+def make_admission(max_pending=2, **kwargs):
     arrival = ArrivalConfig(
         process="poisson", rate=5.0, max_pending=max_pending, policy="shed"
     )
@@ -25,17 +26,22 @@ def make_master(max_pending=2, **kwargs):
     params.update(kwargs)
     cfg = SimulationConfig(strategy="ww-list", **params)
     app = S3aSim(cfg)
-    return Master(app.world.comm.view(0), cfg, app.fh), app
+    admission = Admission(
+        arrival, TaskQueue(), app.world.env,
+        nfragments=cfg.nfragments, priority_lane=True,
+        recorder=None, rank=0, wake=lambda: None,
+    )
+    return admission, app
 
 
 class TestFallbackToReject:
     def test_all_started_rejects_with_balanced_ledger(self):
-        master, app = make_master(max_pending=2)
-        master.on_arrival(False)
-        master.on_arrival(False)
-        s = master.serve
+        admission, app = make_admission(max_pending=2)
+        admission.on_arrival(False)
+        admission.on_arrival(False)
+        s = admission.state
         s.started.update({0, 1})  # both queries have assigned tasks
-        master.on_arrival(False)
+        admission.on_arrival(False)
         assert s.rejected == 1
         assert s.shed == 0
         assert s.admitted == 2
@@ -44,22 +50,22 @@ class TestFallbackToReject:
         assert arrivals["admitted"] + arrivals["rejected"] == arrivals["offered"]
 
     def test_all_priority_rejects_with_balanced_ledger(self):
-        master, app = make_master(max_pending=2)
-        master.on_arrival(True)
-        master.on_arrival(True)
-        master.on_arrival(False)
-        s = master.serve
+        admission, app = make_admission(max_pending=2)
+        admission.on_arrival(True)
+        admission.on_arrival(True)
+        admission.on_arrival(False)
+        s = admission.state
         assert s.rejected == 1
         assert s.shed == 0
         arrivals = app.world.env.check.arrivals
         assert arrivals["admitted"] + arrivals["rejected"] == arrivals["offered"]
 
     def test_priority_arrival_can_still_shed_normal_work(self):
-        master, _ = make_master(max_pending=2)
-        master.on_arrival(False)
-        master.on_arrival(False)
-        master.on_arrival(True)  # priority arrival sheds slot 1
-        s = master.serve
+        admission, app = make_admission(max_pending=2)
+        admission.on_arrival(False)
+        admission.on_arrival(False)
+        admission.on_arrival(True)  # priority arrival sheds slot 1
+        s = admission.state
         assert s.shed == 1
         assert s.rejected == 0
         assert 1 in s.priority  # the reused slot is now in the fast lane
@@ -67,41 +73,41 @@ class TestFallbackToReject:
 
 class TestSlotReuse:
     def test_slot_restamped_on_each_takeover(self):
-        master, _ = make_master(max_pending=1)
-        master.on_arrival(False)
-        s = master.serve
+        admission, app = make_admission(max_pending=1)
+        admission.on_arrival(False)
+        s = admission.state
         # Backdate the tenant, then shed it twice over: each takeover must
         # re-stamp the slot's arrival time to "now".  (The priority tenant
         # arrives last — a priority slot is itself unsheddable.)
         s.arrival_t[0] = -5.0
-        master.on_arrival(False)
-        assert s.arrival_t[0] == master.comm.env.now
+        admission.on_arrival(False)
+        assert s.arrival_t[0] == app.world.env.now
         assert 0 not in s.priority  # the second tenant is normal work
         s.arrival_t[0] = -7.0
-        master.on_arrival(True)
-        assert s.arrival_t[0] == master.comm.env.now
+        admission.on_arrival(True)
+        assert s.arrival_t[0] == app.world.env.now
         assert 0 in s.priority
         assert s.shed == 2
         assert s.admitted == 1  # one slot, three tenants
         assert s.offered == 3
 
     def test_no_task_leakage_across_takeover(self):
-        master, _ = make_master(max_pending=1, nfragments=3)
-        master.on_arrival(False)
-        master.on_arrival(False)  # sheds slot 0, re-enqueues it
-        tasks_for_slot = [t for t in master.tasks if t.query_id == 0]
-        assert len(tasks_for_slot) == master.cfg.nfragments  # not doubled
-        assert master.serve.shed == 1
+        admission, app = make_admission(max_pending=1, nfragments=3)
+        admission.on_arrival(False)
+        admission.on_arrival(False)  # sheds slot 0, re-enqueues it
+        tasks_for_slot = [t for t in admission.queue.tasks if t.query_id == 0]
+        assert len(tasks_for_slot) == admission.nfragments  # not doubled
+        assert admission.state.shed == 1
 
     def test_content_survives_takeover(self):
         # The workload is a function of the slot's content id: a takeover
         # reuses the slot, so it reuses the content — arrival stamp and
         # lane are the only things that move.
-        master, _ = make_master(max_pending=1)
-        master.on_arrival(False)
-        assert master.serve.content[0] == 0
-        master.on_arrival(True)
-        assert master.serve.content[0] == 0
+        admission, app = make_admission(max_pending=1)
+        admission.on_arrival(False)
+        assert admission.state.content[0] == 0
+        admission.on_arrival(True)
+        assert admission.state.content[0] == 0
 
 
 class TestEndToEnd:

@@ -2,21 +2,21 @@
 
 A run cut off before its first durable query has *unknown* latency; the
 old behaviour reported 0.000s percentiles, indistinguishable from a
-genuinely instant service.  ``ServeState.stats()`` now returns NaN for
+genuinely instant service.  ``serve_stats`` now returns NaN for
 every latency field when nothing completed, and the CLI prints ``-``.
 """
 
 import math
 
 from repro.cli import main
-from repro.serve import ArrivalConfig, ServeState, format_latency
+from repro.serve import ArrivalConfig, ServeState, format_latency, serve_stats
 
 
 def test_stats_are_nan_with_zero_completions():
     state = ServeState(ArrivalConfig(process="poisson", rate=1.0))
     state.offered = 3
     state.admitted = 2
-    stats = state.stats()
+    stats = serve_stats([state])
     assert stats["completed"] == 0.0
     for key in (
         "latency_mean_s",
@@ -33,7 +33,7 @@ def test_stats_are_finite_after_first_completion():
     state.admitted = 1
     state.completed = 1
     state.latency.observe(0.25)
-    stats = state.stats()
+    stats = serve_stats([state])
     assert stats["latency_mean_s"] == 0.25
     assert not math.isnan(stats["latency_p99_s"])
 
