@@ -8,11 +8,7 @@ the machine's aggregate memory and self-schedules fine-grained tasks.
 
 import pytest
 
-from repro.core import (
-    SimulationConfig,
-    run_query_segmentation,
-    run_simulation,
-)
+from repro.core import SimulationConfig, run_simulation
 from repro.workload import ResultModel
 
 from conftest import write_output
@@ -33,7 +29,9 @@ def test_queryseg_vs_dbseg_memory_pressure(benchmark):
         rows = []
         for db_mib in (64, 256, 1024):
             config = base.with_(db_total_bytes=db_mib * MIB)
-            qseg = run_query_segmentation(config, worker_memory_B=memory)
+            qseg = run_simulation(
+                config.with_(query_segmentation=True, worker_memory_B=memory)
+            )
             dbseg = run_simulation(config)
             rows.append((db_mib, qseg.elapsed, dbseg.elapsed))
         return rows
@@ -67,7 +65,9 @@ def test_queryseg_underutilization(benchmark):
         rows = []
         for nprocs in (5, 17):
             config = base.with_(nprocs=nprocs)
-            qseg = run_query_segmentation(config, worker_memory_B=256 * MIB)
+            qseg = run_simulation(
+                config.with_(query_segmentation=True, worker_memory_B=256 * MIB)
+            )
             dbseg = run_simulation(config)
             rows.append((nprocs, qseg.elapsed, dbseg.elapsed))
         return rows

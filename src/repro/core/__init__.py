@@ -10,11 +10,6 @@ from .config import PAPER_SEED, SimulationConfig, Workload
 from .master import Master
 from .offsets import OffsetLedger, ScoredBatchMeta, merge_query, validate_assignment
 from .phases import Phase, PhaseReport, PhaseTimer
-from .queryseg import (
-    DEFAULT_WORKER_MEMORY_B,
-    QuerySegS3aSim,
-    run_query_segmentation,
-)
 from .protocol import (
     MASTER_RANK,
     Heartbeat,
@@ -55,7 +50,6 @@ __all__ = [
     "Phase",
     "PhaseReport",
     "PhaseTimer",
-    "QuerySegS3aSim",
     "Rejoin",
     "RunResult",
     "SCENARIOS",
@@ -78,8 +72,6 @@ __all__ = [
     "get_strategy",
     "merge_query",
     "reference_layout",
-    "DEFAULT_WORKER_MEMORY_B",
-    "run_query_segmentation",
     "run_simulation",
     "validate_assignment",
     "verify_against_reference",

@@ -1,9 +1,10 @@
 """S3aSim application runner: wire everything together and run one job.
 
-:class:`S3aSim` assembles every database-segmentation run: a plain
-run, a closed batch over shards and a serve run with one or more masters
-(query segmentation, the paper's baseline, has its own
-:class:`~repro.core.queryseg.QuerySegS3aSim`).  It builds the
+:class:`S3aSim` builds every run: a plain run, a closed batch over
+shards and a serve run with one or more masters, under database or query
+segmentation (``cfg.query_segmentation``, the paper's baseline, changes
+only what one assignment holds and makes every worker read fragments from
+the shared database file).  It builds the
 simulated cluster (MPI world + PVFS2 volume sharing the same NICs), the
 workload and the shared database file once, then splits the world into
 ``shard.nshards`` contiguous rank blocks (one block without a shard
@@ -160,11 +161,12 @@ class S3aSim:
             if self.nshards > 1
             else None
         )
-        # Shared database file for fragment preloads: densely-packed
+        # Shared database file for fragment reads (preloads, and every
+        # query-segmentation run): densely-packed
         # fragments, read-only during the run (store_data off — only the
         # I/O timing matters, the sequence bytes carry no information).
         self.db_fh: Optional[MPIIOFile] = None
-        if config.preload_fragments:
+        if config.preload_fragments or config.query_segmentation:
             db_file = PVFSFile("/s3asim/db", self.fs.layout, False)
             self.fs.files["/s3asim/db"] = db_file
             self.db_fh = MPIIOFile(

@@ -114,6 +114,16 @@ class SimulationConfig:
     #: default — the seed's timing is bit-identical.
     preload_fragments: bool = False
 
+    #: Query segmentation, the baseline of the paper's introduction: a
+    #: worker's one assignment is every queued fragment of the head query,
+    #: and workers always read fragments from the shared database file.
+    #: Off by default (database segmentation, one fragment per task).
+    query_segmentation: bool = False
+    #: Bytes of database fragments a worker keeps in memory between
+    #: searches; a fragment that does not fit is read again before every
+    #: search against it.  ``None`` keeps every fragment read.
+    worker_memory_B: Optional[int] = None
+
     #: On a resumed run, read back the previously-written prefix
     #: ``[0, resume_base)`` at startup before dispatching new work — the
     #: checkpoint-restart verification pass real resumable tools perform.
@@ -153,6 +163,8 @@ class SimulationConfig:
                 )
         else:
             get_strategy(self.strategy)  # validates the name
+        if self.worker_memory_B is not None and self.worker_memory_B <= 0:
+            raise ValueError("worker_memory_B must be positive")
         if self.verify_resume and self.resume_from_query == 0:
             raise ValueError(
                 "verify_resume needs a resumed run (resume_from_query > 0)"

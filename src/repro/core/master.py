@@ -1,6 +1,7 @@
 """The master process — Algorithm 1 of the paper.
 
-The master hands out (query, fragment) tasks on request (self-scheduling),
+The master hands out (query, fragment) tasks on request (self-scheduling;
+under query segmentation a request gets every queued task of one query),
 gathers sorted score lists (plus payloads under master-writing), merges
 them, and — depending on the strategy — either writes completed queries
 itself or answers workers with file-offset lists.
@@ -484,15 +485,20 @@ class Master:
         return strategy
 
     def _respond(self, worker: int):
-        task = self.queue.pop()
-        q = task.query_id
-        task = TaskAssignment(q, task.fragment_id, self._query_strategy(q).name)
-        self.task_owner[(task.query_id, task.fragment_id)] = worker
+        """Assign the head task, or under query segmentation the head
+        query's whole run of queued tasks, in one message."""
+        queue = self.queue
+        popped = queue.pop_query() if self.cfg.query_segmentation else (queue.pop(),)
+        q = popped[0].query_id
+        name = self._query_strategy(q).name
+        tasks = tuple(TaskAssignment(q, t.fragment_id, name) for t in popped)
+        for task in tasks:
+            self.task_owner[(q, task.fragment_id)] = worker
         if self.serve is not None:
             self.serve.start(q)
         yield from self.timer.measure(
             Phase.DATA_DISTRIBUTION,
-            self.comm.send(worker, TAG_ASSIGN, ASSIGN_BYTES, task),
+            self.comm.send(worker, TAG_ASSIGN, ASSIGN_BYTES, tasks),
         )
 
     def _send_no_more_work(self, worker: int):

@@ -16,7 +16,7 @@ import numpy as np
 MASTER_RANK = 0
 
 TAG_REQUEST = 1  # worker -> master: "give me work"
-TAG_ASSIGN = 2  # master -> worker: TaskAssignment or NoMoreWork (None)
+TAG_ASSIGN = 2  # master -> worker: tuple of TaskAssignment, None or Release
 TAG_SCORES = 3  # worker -> master: ScoreMessage
 TAG_OFFSETS = 4  # master -> worker: OffsetMessage (parallel-I/O modes)
 TAG_WRITTEN = 5  # master -> worker: WrittenNotice (MW + query sync)

@@ -11,6 +11,8 @@ The paper anchors every strategy in a shipping sequence-search tool:
 * **pioBLAST** — collective worker-writing ("The WW-Coll strategy,
   proposed by pioBLAST, uses MPI-IO collective writes").
 * **proposed** — the paper's individual worker-writing list-I/O strategy.
+* **query segmentation** — the introduction's baseline that database
+  segmentation replaces: whole queries per worker, a replicated database.
 
 Each scenario is a function from a base configuration to a concrete
 :class:`~repro.core.config.SimulationConfig`.
@@ -69,6 +71,15 @@ def preload(base: Optional[SimulationConfig] = None) -> SimulationConfig:
     )
 
 
+def query_segmentation(base: Optional[SimulationConfig] = None) -> SimulationConfig:
+    """The introduction's baseline: each worker searches whole queries
+    against the whole database, reading fragments from the shared volume
+    and keeping what fits in 384 MiB (Feynman nodes had 1 GB RDRAM shared
+    by two ranks; the rest is left to the application)."""
+    base = base if base is not None else SimulationConfig()
+    return base.with_(query_segmentation=True, worker_memory_B=384 * 1024 * 1024)
+
+
 def checkpoint_restart(base: Optional[SimulationConfig] = None) -> SimulationConfig:
     """Restart after a mid-run server loss: the first half of the queries
     is assumed durable from the previous incarnation, the master re-reads
@@ -97,6 +108,7 @@ SCENARIOS: Dict[str, Callable[[Optional[SimulationConfig]], SimulationConfig]] =
     "proposed": proposed_ww_list,
     "proposed-posix": proposed_ww_posix,
     "preload": preload,
+    "query-segmentation": query_segmentation,
     "checkpoint-restart": checkpoint_restart,
 }
 

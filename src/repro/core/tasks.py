@@ -1,10 +1,12 @@
 """The master's task queue: (query, fragment) tasks in hand-out order.
 
 ``tasks[:next]`` went out already; ``tasks[next:]`` is the unassigned
-tail.  Every edit of the tail goes through this object: admission appends
-a query (or, for the priority lane, pushes it to the front), shedding and
-donation drop unassigned queries, and fault recovery requeues and
-unqueues single tasks.
+tail.  Database segmentation hands tasks out one at a time (``pop``);
+query segmentation hands out the head query's whole run of queued tasks
+at once (``pop_query``).  Every edit of the tail goes through this object:
+admission appends a query (or, for the priority lane, pushes it to the
+front), shedding and donation drop unassigned queries, and fault recovery
+requeues and unqueues single tasks.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ class TaskQueue:
         task = self.tasks[self.next]
         self.next += 1
         return task
+
+    def pop_query(self) -> List[TaskAssignment]:
+        """Pop the run of tasks at the head that share the head's query."""
+        start = self.next
+        q = self.tasks[start].query_id
+        end = start + 1
+        while end < len(self.tasks) and self.tasks[end].query_id == q:
+            end += 1
+        self.next = end
+        return self.tasks[start:end]
 
     def add_query(self, q: int, nfragments: int, front: bool = False) -> None:
         """Queue all of ``q``'s fragments, at the back or (``front``) ahead

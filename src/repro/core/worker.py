@@ -1,13 +1,21 @@
 """The worker process — Algorithm 2 of the paper.
 
-Workers self-schedule: request a task, search it (simulated compute),
-locally merge and ship sorted scores (plus payloads under master-writing),
-and — in worker-writing strategies — write their results when the master's
-offset lists arrive.  Under the individual strategies a worker keeps
-processing new tasks while offset lists are in flight ("while workers wait
-for the location list from the master, they can process additional
-queries"); under WW-Coll every worker must enter the per-group collective
-write.
+Workers self-schedule: request work, search each task of the assignment
+(simulated compute), locally merge and ship sorted scores (plus payloads
+under master-writing), and — in worker-writing strategies — write their
+results when the master's offset lists arrive.  Under the individual
+strategies a worker keeps processing new tasks while offset lists are in
+flight ("while workers wait for the location list from the master, they
+can process additional queries"); under WW-Coll every worker must enter
+the per-group collective write.
+
+An assignment is one (query, fragment) task under database segmentation
+and every queued fragment of one query under query segmentation; the
+worker runs each task the same way.  A worker with a database file handle
+reads a fragment's extent before searching it and keeps the fragment
+while the kept fragments fit in ``cfg.worker_memory_B``; a fragment that
+does not fit is read again before every search against it (query
+segmentation's repeated I/O).
 
 Each task arrives stamped with its query's strategy (see
 :meth:`repro.core.master.Master._query_strategy`).  The stamp decides
@@ -87,10 +95,12 @@ class Worker:
         self.shard_id = 0
         # -- fragment preload -------------------------------------------------
         #: Database file handle; when set, the worker reads a fragment's
-        #: extent before its first search against it (mpiBLAST-style copy
-        #: of the fragment to the node before searching).
+        #: extent before searching it unless it kept the fragment from an
+        #: earlier read (mpiBLAST-style copy of the fragment to the node).
         self.db_fh = db_fh
         self.loaded_fragments: Set[int] = set()
+        #: Bytes of the fragments in ``loaded_fragments``.
+        self.resident_B = 0
         # Keyed by the *global* rank so sharded runs (where each shard's
         # workers restart local numbering at 1) get distinct timer/trace
         # rows; on the world communicator global == local.
@@ -230,6 +240,7 @@ class Worker:
         # The fragment cache is volatile too: a rebooted worker must re-read
         # any fragment before searching it again.
         self.loaded_fragments.clear()
+        self.resident_B = 0
         # In-flight sends survive (the NIC already has the bytes) but we
         # stop tracking them; an unserved assignment is dropped on the
         # floor — the master's recovery requeues whatever it had assigned.
@@ -273,7 +284,7 @@ class Worker:
             timer.add_span(Phase.DATA_DISTRIBUTION, start)
             yield from self._drain_io()
 
-        assignment: Optional[TaskAssignment] = self.assign_recv.done_event.value
+        assignment = self.assign_recv.done_event.value
         self.assign_recv = None
         if assignment is None:
             self.no_more_work = True
@@ -282,17 +293,21 @@ class Worker:
             self.final_groups = assignment.final_groups
             self.no_more_work = True
             return
-        yield from self._do_task(assignment)
+        for task in assignment:
+            yield from self._do_task(task)
 
     def _preload_fragment(self, fragment_id: int):
         """Read the fragment's extent from the shared database file before
-        the first search against it (read-dominated startup I/O)."""
+        a search against it; keep it only while it fits in memory."""
         offset, nbytes = self.workload.database.fragment_extent(fragment_id)
         yield from self.timer.measure(
             Phase.IO,
             self.db_fh.read_at(self.comm.global_rank, offset, nbytes),
         )
-        self.loaded_fragments.add(fragment_id)
+        memory = self.cfg.worker_memory_B
+        if memory is None or self.resident_B + nbytes <= memory:
+            self.loaded_fragments.add(fragment_id)
+            self.resident_B += nbytes
         m = self.comm.env.metrics
         if m.enabled:
             m.inc("app.fragments_preloaded", 1.0, rank=self.comm.rank)

@@ -14,6 +14,7 @@ class TestScenarioDefinitions:
             "proposed",
             "proposed-posix",
             "preload",
+            "query-segmentation",
             "checkpoint-restart",
         }
 
@@ -47,6 +48,11 @@ class TestScenarioDefinitions:
         assert cfg.preload_fragments
         assert cfg.pvfs.readahead_B > 0
         assert cfg.adaptive
+
+    def test_query_segmentation_bounds_worker_memory(self):
+        cfg = get_scenario("query-segmentation")
+        assert cfg.query_segmentation
+        assert cfg.worker_memory_B == 384 * 1024 * 1024
 
     def test_checkpoint_restart_resumes_verified(self):
         base = SimulationConfig(nqueries=8)
