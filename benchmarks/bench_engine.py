@@ -99,6 +99,7 @@ def test_striping_arithmetic(benchmark):
 
     by_server = benchmark(map_all)
     assert sum(len(v) for v in by_server.values()) >= 500
+    assert sum(n for v in by_server.values() for _, n in v) == 500 * 7_000
 
 
 @pytest.mark.benchmark(group="engine")

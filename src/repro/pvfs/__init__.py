@@ -4,7 +4,7 @@ from .bytestore import ByteStore, OverlapError, merge_extents
 from .cache import WriteBackCache
 from .disk import DiskModel
 from .filesystem import FileSystem, PVFSConfig, PVFSFile
-from .layout import REPLICA_SLOT_B, Piece, Region, StripingLayout
+from .layout import REPLICA_SLOT_B, Region, StripingLayout
 from .replica import MissedLedger
 from .sched import (
     SCHEDULERS,
@@ -28,7 +28,6 @@ __all__ = [
     "OverlapError",
     "PVFSConfig",
     "PVFSFile",
-    "Piece",
     "REPLICA_SLOT_B",
     "Region",
     "SCHEDULERS",

@@ -15,7 +15,7 @@ server hundreds of regions per request, and each region is one call.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Extent = Tuple[int, int]  # [lo, hi)
 Region = Tuple[int, int]  # (offset, length)
@@ -52,19 +52,46 @@ def split(
     """Partition ``(offset, length)`` regions into (hits, misses), in order.
 
     A region is a hit only when one run covers it whole; zero-length
-    regions are always misses.
+    regions are always misses.  The position in ``runs`` carries over, so
+    ascending regions (a server's list request) bisect only on leaving the
+    current run; a region that goes backwards bisects the runs before it.
     """
     if not runs:
         return [], list(regions)
     hits: List[Region] = []
     misses: List[Region] = []
+    n = len(runs)
+    # ``i == bisect_right(runs, (offset, _END))`` while ``floor <= offset <
+    # ceiling``: only ``runs[i - 1]`` can cover the region.
+    i, floor, ceiling = 0, -1, runs[0][0]
     for region in regions:
         offset, length = region
-        if length > 0 and covers(runs, offset, offset + length):
-            hits.append(region)
-        else:
-            misses.append(region)
+        if length > 0:
+            if not floor <= offset < ceiling:
+                if offset < floor:
+                    i = bisect_right(runs, (offset, _END), 0, i)
+                else:
+                    i = bisect_right(runs, (offset, _END), i, n)
+                floor = runs[i - 1][0] if i else -1
+                ceiling = runs[i][0] if i < n else _END
+            if i and runs[i - 1][1] >= offset + length:
+                hits.append(region)
+                continue
+        misses.append(region)
     return hits, misses
+
+
+def span(regions: Sequence[Region]) -> Optional[Extent]:
+    """Lowest start to highest end of the non-empty regions, in one pass."""
+    lo = hi = None
+    for offset, length in regions:
+        if length > 0:
+            end = offset + length
+            if lo is None or offset < lo:
+                lo = offset
+            if hi is None or end > hi:
+                hi = end
+    return None if lo is None else (lo, hi)
 
 
 def add(runs: List[Extent], start: int, end: int) -> int:

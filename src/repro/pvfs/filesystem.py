@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..sim import Environment, Event, Lane, SimulationError
 from ..mpi.network import NetworkConfig, Nic, KIB, MIB
@@ -447,7 +448,8 @@ class FileSystem:
     ):
         """Process fragment: a PVFS2 list-I/O write of many regions.
 
-        The request is decomposed per server; each server receives at most
+        :meth:`_list_io` (shared with :meth:`read_list`) decomposes the
+        request per server; each server receives at most
         ``listio_max_regions`` regions per wire request (additional requests
         are pipelined to the same server).  Subrequests to distinct servers
         run concurrently.
@@ -460,25 +462,7 @@ class FileSystem:
                 offset, length, datas[idx] if datas is not None else None
             )
 
-        by_server = self.layout.map_regions(regions)
-        c = self.env.check
-        if c.enabled:
-            c.layout_mapped(
-                sum(length for _, length in regions),
-                sum(p.length for pieces in by_server.values() for p in pieces),
-            )
-        subrequests = []
-        for server_id, pieces in by_server.items():
-            # Service in ascending physical offset, as the server would.
-            phys = sorted((p.physical_offset, p.length) for p in pieces)
-            for start in range(0, len(phys), self.config.listio_max_regions):
-                chunk = phys[start : start + self.config.listio_max_regions]
-                subrequests.append((self.servers[server_id], chunk))
-
-        if self.nreplicas > 1:
-            yield from self._issue_replicated(client, subrequests, is_read=False)
-        else:
-            yield from self._issue_parallel(client, subrequests, is_read=False)
+        yield from self._list_io(client, regions, is_read=False)
 
     def read(self, client: int, file: PVFSFile, offset: int, length: int):
         """Process fragment: one contiguous read; returns bytes when stored."""
@@ -486,25 +470,13 @@ class FileSystem:
         return result[0] if result is not None else None
 
     def read_list(self, client: int, file: PVFSFile, regions: Sequence[Region]):
-        """Process fragment: list-I/O read; returns per-region bytes or None."""
+        """Process fragment: list-I/O read; returns per-region bytes or None.
+
+        Split into per-server wire requests by :meth:`_list_io`, the
+        helper :meth:`write_list` uses too.
+        """
         regions = list(regions)
-        by_server = self.layout.map_regions(regions)
-        c = self.env.check
-        if c.enabled:
-            c.layout_mapped(
-                sum(length for _, length in regions),
-                sum(p.length for pieces in by_server.values() for p in pieces),
-            )
-        subrequests = []
-        for server_id, pieces in by_server.items():
-            phys = sorted((p.physical_offset, p.length) for p in pieces)
-            for start in range(0, len(phys), self.config.listio_max_regions):
-                chunk = phys[start : start + self.config.listio_max_regions]
-                subrequests.append((self.servers[server_id], chunk))
-        if self.nreplicas > 1:
-            yield from self._issue_replicated(client, subrequests, is_read=True)
-        else:
-            yield from self._issue_parallel(client, subrequests, is_read=True)
+        yield from self._list_io(client, regions, is_read=True)
         if file.bytestore.store_data:
             return [file.bytestore.read(offset, length) for offset, length in regions]
         return None
@@ -567,20 +539,45 @@ class FileSystem:
                 # is lost.
                 m.inc("mpi.nic_tx_bytes", float(nbytes), nic=nic.nic_id, rank=client)
 
-    def _issue_parallel(
-        self,
-        client: int,
-        subrequests: List[Tuple[IOServer, List[Tuple[int, int]]]],
-        is_read: bool,
-    ):
+    def _list_io(self, client: int, regions: List[Region], is_read: bool):
+        """Process fragment: the wire side of a list-I/O call.
+
+        The layout's per-server lists are sorted to ascending physical
+        offset (the order the server services them) and cut into chunks
+        of at most ``listio_max_regions``.  Each chunk is one subrequest
+        that carries its byte count; subrequests to distinct servers run
+        concurrently (as replica chains when ``replicas > 1``).  The
+        checker compares the logical total with the sum of the chunk
+        counts, i.e. with what the mapping actually produced.
+        """
+        cap = self.config.listio_max_regions
+        subrequests = []
+        for server_id, phys in self.layout.map_regions(regions).items():
+            phys.sort()
+            server = self.servers[server_id]
+            for start in range(0, len(phys), cap):
+                chunk = phys[start : start + cap]
+                subrequests.append(
+                    (server, chunk, sum(length for _, length in chunk))
+                )
+        c = self.env.check
+        if c.enabled:
+            c.layout_mapped(
+                sum(length for _, length in regions),
+                sum(nbytes for _, _, nbytes in subrequests),
+            )
         if not subrequests:
             return
+        if self.nreplicas > 1:
+            make = self._one_replicated_read if is_read else self._one_replicated_write
+        else:
+            make = partial(self._one_server_request, is_read=is_read)
         procs = [
             self.env.process(
-                self._one_server_request(client, server, chunk, is_read),
+                make(client, server, chunk, nbytes),
                 name=f"io-c{client}-s{server.server_id}",
             )
-            for server, chunk in subrequests
+            for server, chunk, nbytes in subrequests
         ]
         yield self.env.all_of(procs)
 
@@ -588,11 +585,11 @@ class FileSystem:
         self,
         client: int,
         server: IOServer,
-        phys_regions: List[Tuple[int, int]],
+        phys_regions: List[Region],
+        nbytes: int,
         is_read: bool,
     ):
         net = self.config.network
-        nbytes = sum(length for _, length in phys_regions)
         header = self.config.request_header_B + 16 * len(phys_regions)
 
         if not server.up:
@@ -633,30 +630,12 @@ class FileSystem:
             delay = min(delay * cfg.retry_backoff, cfg.retry_cap_s)
 
     # -- replicated I/O -----------------------------------------------------
-    def _issue_replicated(
-        self,
-        client: int,
-        subrequests: List[Tuple[IOServer, List[Tuple[int, int]]]],
-        is_read: bool,
-    ):
-        """Replicated twin of :meth:`_issue_parallel` (``replicas > 1`` only)."""
-        if not subrequests:
-            return
-        make = self._one_replicated_read if is_read else self._one_replicated_write
-        procs = [
-            self.env.process(
-                make(client, server, chunk),
-                name=f"io-c{client}-s{server.server_id}",
-            )
-            for server, chunk in subrequests
-        ]
-        yield self.env.all_of(procs)
-
     def _one_replicated_write(
         self,
         client: int,
         primary: IOServer,
-        phys_regions: List[Tuple[int, int]],
+        phys_regions: List[Region],
+        nbytes: int,
     ):
         """Chain-replicated write of one per-server chunk.
 
@@ -670,7 +649,6 @@ class FileSystem:
         matching the outage model everywhere else.
         """
         net = self.config.network
-        nbytes = sum(length for _, length in phys_regions)
         header = self.config.request_header_B + 16 * len(phys_regions)
         chain = self.layout.replica_chain(primary.server_id)
 
@@ -730,7 +708,8 @@ class FileSystem:
         self,
         client: int,
         primary: IOServer,
-        phys_regions: List[Tuple[int, int]],
+        phys_regions: List[Region],
+        nbytes: int,
     ):
         """Read one chunk from the first clean live replica of the chain.
 
@@ -742,7 +721,6 @@ class FileSystem:
         """
         net = self.config.network
         cfg = self.config
-        nbytes = sum(length for _, length in phys_regions)
         header = self.config.request_header_B + 16 * len(phys_regions)
         chain = self.layout.replica_chain(primary.server_id)
         delay = cfg.retry_initial_s

@@ -5,6 +5,10 @@ of ``strip_size`` bytes; strip ``i`` lives on server ``i % nservers`` at
 physical position ``(i // nservers) * strip_size`` plus the in-strip offset.
 The paper's deployment: 16 servers, 64 KiB strips, i.e. a 1 MiB stripe.
 
+:meth:`StripingLayout.map_regions` turns a list-I/O request into what a
+PVFS2 client sends each server: one ``(physical_offset, length)`` list per
+server, one entry per strip a region touches.
+
 Replication (``replicas > 1``) uses *rotated placement* (chained
 declustering): copy ``r`` of every strip whose primary lives on server
 ``p`` is stored on server ``(p + r) % nservers``, inside a per-chain-slot
@@ -17,7 +21,6 @@ chained declustering over mirrored pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 Region = Tuple[int, int]  # (offset, length) in bytes
@@ -28,20 +31,6 @@ Region = Tuple[int, int]  # (offset, length) in bytes
 #: model charges seeks by discontiguity, not distance, so the stride's
 #: magnitude costs nothing; it only has to exceed any primary offset.
 REPLICA_SLOT_B = 1 << 40
-
-
-@dataclass(frozen=True)
-class Piece:
-    """A server-local chunk of a logical extent."""
-
-    server: int
-    physical_offset: int
-    length: int
-    logical_offset: int
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError("piece length must be positive")
 
 
 class StripingLayout:
@@ -90,37 +79,42 @@ class StripingLayout:
         strip = offset // self.strip_size
         return (strip // self.nservers) * self.strip_size + offset % self.strip_size
 
-    def map_extent(self, offset: int, length: int) -> List[Piece]:
-        """Split a logical extent into per-server pieces, in logical order."""
-        if offset < 0:
-            raise ValueError("offset must be non-negative")
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        strip_size = self.strip_size
-        nservers = self.nservers
-        pieces: List[Piece] = []
-        strip, in_strip = divmod(offset, strip_size)
-        while length > 0:
-            take = min(strip_size - in_strip, length)
-            row, server = divmod(strip, nservers)
-            pieces.append(Piece(server, row * strip_size + in_strip, take, offset))
-            offset += take
-            length -= take
-            strip += 1
-            in_strip = 0
-        return pieces
+    def map_regions(self, regions: Iterable[Region]) -> Dict[int, List[Region]]:
+        """Each server's ``(physical_offset, length)`` list for ``regions``.
 
-    def map_regions(self, regions: Iterable[Region]) -> Dict[int, List[Piece]]:
-        """Group the pieces of many regions by server.
-
-        Within each server the pieces keep the caller's region order (which
-        for sorted input means ascending physical offset — what a real
-        server would service sequentially).
+        One entry per strip a region touches.  Servers appear in the order
+        the regions first touch them; each server's entries keep region
+        order, then strip order.  A region's strips on one server sit in
+        consecutive rows, so they are cut from one physical run by
+        arithmetic rather than by walking the strips.
         """
-        by_server: Dict[int, List[Piece]] = {}
+        size = self.strip_size
+        nservers = self.nservers
+        by_server: Dict[int, List[Region]] = {}
         for offset, length in regions:
-            for piece in self.map_extent(offset, length):
-                by_server.setdefault(piece.server, []).append(piece)
+            if offset < 0 or length < 0:
+                raise ValueError(f"region ({offset}, {length}) must be non-negative")
+            if not length:
+                continue
+            first, in_first = divmod(offset, size)
+            last, in_last = divmod(offset + length - 1, size)
+            for strip in range(first, min(last, first + nservers - 1) + 1):
+                row, server = divmod(strip, nservers)
+                # This server holds strips strip, strip + nservers, ... up
+                # to ``last``: rows ``row`` to ``row + rows``.
+                rows, rest = divmod(last - strip, nservers)
+                tail = (row + rows) * size
+                hi = tail + (size if rest else in_last + 1)
+                lo = row * size + (in_first if strip == first else 0)
+                entries = by_server.get(server)
+                if entries is None:
+                    entries = by_server[server] = []
+                if lo < tail:
+                    cut = (row + 1) * size
+                    entries.append((lo, cut - lo))
+                    entries.extend([(p, size) for p in range(cut, tail, size)])
+                    lo = tail
+                entries.append((lo, hi - lo))
         return by_server
 
     def servers_touched(self, regions: Iterable[Region]) -> List[int]:

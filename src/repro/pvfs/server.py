@@ -244,6 +244,10 @@ class IOServer:
             c = self.env.check
             if c.enabled:
                 c.server_disk_write(self.server_id, detail.bytes)
+            # A prefetch the elevator served while this write waited for
+            # the disk read the platter before the write landed.
+            if self._ra_runs:
+                self._ra_invalidate(regions, inflight=False)
         stats = self.stats
         stats.requests += 1
         stats.regions += detail.regions
@@ -300,14 +304,7 @@ class IOServer:
                 )
             if self._ra_runs or self._ra_inflight:
                 self._ra_invalidate(regions)
-        span = None
-        if is_read and self.readahead_B:
-            live = [(o, l) for o, l in regions if l > 0]
-            if live:
-                span = (
-                    min(o for o, _ in live),
-                    max(o + l for o, l in live),
-                )
+        span = extents.span(regions) if is_read and self.readahead_B else None
         cache = self.cache
         if cache is not None:
             if not is_read:
@@ -357,17 +354,20 @@ class IOServer:
     def _ra_memory_time(self, nregions: int, nbytes: int) -> float:
         return ABSORB_REGION_S * nregions + nbytes / self._ra_mem_Bps
 
-    def _ra_invalidate(self, regions: List[Tuple[int, int]]) -> None:
+    def _ra_invalidate(
+        self, regions: List[Tuple[int, int]], inflight: bool = True
+    ) -> None:
         """Drop prefetched extents overlapping a write (now stale).
 
-        In-flight prefetches lose the same extents; their bytes count as
-        wasted when the prefetch lands.
+        With ``inflight``, prefetches still waiting for or holding the disk
+        lose the same extents; their bytes count as wasted when they land.
         """
         wasted = 0
+        pending_sets = self._ra_inflight.values() if inflight else ()
         for offset, length in regions:
             end = offset + length
             wasted += extents.subtract(self._ra_runs, offset, end)
-            for pending in self._ra_inflight.values():
+            for pending in pending_sets:
                 extents.subtract(pending, offset, end)
         if wasted:
             self._ra_count_wasted(wasted)

@@ -8,7 +8,9 @@ returned byte counts must equal the exact change in that set.
 
 from hypothesis import given, strategies as st
 
-from repro.pvfs.extents import add, covers, gaps, overlaps, split, subtract
+from repro.pvfs.extents import (
+    add, covers, gaps, overlaps, span, split, subtract,
+)
 
 SPACE = 96  # small byte space: ops collide often
 
@@ -94,6 +96,60 @@ def test_split_partitions_in_order(initial, regs):
     hits, misses = split(runs, regs)
     assert hits == [r for r in regs if whole_hit(r)]
     assert misses == [r for r in regs if not whole_hit(r)]
+
+
+def covers_partition(runs, regs):
+    """The per-region reference: one ``covers`` bisect for each region."""
+    hits, misses = [], []
+    for offset, length in regs:
+        hit = length > 0 and covers(runs, offset, offset + length)
+        (hits if hit else misses).append((offset, length))
+    return hits, misses
+
+
+# Back-to-back regions, each starting where the previous one ended: the
+# shape of one server's list request.
+touching = st.tuples(
+    st.integers(0, SPACE), st.lists(st.integers(0, 24), max_size=12)
+).map(lambda p: [(p[0] + sum(p[1][:k]), n) for k, n in enumerate(p[1])])
+
+
+@given(
+    span_lists,
+    st.one_of(regions, touching),
+    st.sampled_from(["asc", "desc", "as-is"]),
+)
+def test_split_equals_per_region_covers(initial, regs, order):
+    """Carrying the run position between regions changes no answer, for
+    ascending input, input that goes backwards, and touching regions."""
+    runs = build(initial)
+    if order == "asc":
+        regs = sorted(regs)
+    elif order == "desc":
+        regs = sorted(regs, reverse=True)
+    snapshot = list(runs)
+    assert split(runs, regs) == covers_partition(runs, regs)
+    assert runs == snapshot
+
+
+@given(span_lists)
+def test_split_regions_touching_run_edges(initial):
+    """Regions that end where one run ends and start where the next one
+    starts, walked forwards then backwards."""
+    runs = build(initial)
+    regs = [(lo, hi - lo) for lo, hi in runs]
+    regs += [(hi, 1) for _, hi in runs] + [(lo, hi - lo + 1) for lo, hi in runs]
+    for ordered in (sorted(regs), sorted(regs, reverse=True), regs):
+        assert split(runs, ordered) == covers_partition(runs, ordered)
+
+
+@given(regions)
+def test_span_is_min_start_to_max_end_of_live_regions(regs):
+    live = [(o, n) for o, n in regs if n > 0]
+    expected = (
+        (min(o for o, _ in live), max(o + n for o, n in live)) if live else None
+    )
+    assert span(regs) == expected
 
 
 def test_zero_length_region_is_a_miss_even_inside_a_run():

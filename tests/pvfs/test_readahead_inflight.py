@@ -104,6 +104,43 @@ def test_crash_during_prefetch_voids_it():
     check_structure(server)
 
 
+def test_prefetch_served_before_a_queued_write_keeps_nothing_stale():
+    """A write still *waiting* for the disk when a later read plans its
+    prefetch over the same range.  Timeline on one elevator server, no
+    cache:
+
+    1. t=0: read A = [0, 4K) takes the idle disk.
+    2. t=1us: write W to [32K, 36K) queues (offset 32K), then read
+       Y = [16K, 48K) queues (offset 16K).
+    3. A finishes with the head at 4K.  C-SCAN grants the lowest offset
+       at or above the head: Y.  A's prefetch P = [4K, 68K) queues at 4K.
+    4. Y finishes with the head at 48K.  W and P both lie behind it, so
+       the sweep wraps to the lowest offset: P, then W.
+
+    P reads W's range before W lands.  Once W has been serviced, no
+    prefetched extent overlapping it may be held, or a later read would
+    be answered with pre-write bytes.
+    """
+    env = Environment()
+    server = IOServer(env, 0, DiskModel(), sched="elevator", readahead_B=64 * KIB)
+    written = (32 * KIB, 36 * KIB)
+
+    def queue_write_and_read():
+        yield env.timeout(1e-6)
+        writer = env.process(server.service_write([(32 * KIB, 4 * KIB)]))
+        env.process(read(server, 16 * KIB, 32 * KIB))
+        yield writer
+        # The reordering really happened: the prefetch landed first.
+        assert server.stats.readahead_bytes == 64 * KIB
+        assert not overlap(server._ra_runs, [written]), server._ra_runs
+
+    env.process(read(server, 0, 4 * KIB))
+    env.run(env.process(queue_write_and_read()))
+    # The dropped bytes count as wasted, so the store's accounting holds.
+    assert server.stats.readahead_wasted == 4 * KIB
+    check_structure(server)
+
+
 # Each op starts its own process some microseconds after the previous
 # one; "stream" reads continue the sequential stream, so prefetches are
 # frequent and long enough for other ops to land inside them.
