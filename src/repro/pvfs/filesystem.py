@@ -6,6 +6,11 @@ that proceed *in parallel* (PVFS2 clients talk to all servers directly; no
 single funnel), each paying: client NIC serialization → wire latency →
 server inbound channel → disk service → response latency.
 
+Each server's leg of a sync, and with ``replicas == 1`` each subrequest,
+is a :class:`_ServerRequest` callback machine rather than a process; the
+caller waits on a :class:`~repro.sim.Join` of them.  Replica chains
+(``replicas > 1``) run as one helper process per subrequest.
+
 PVFS2 characteristics modelled faithfully:
 
 * native list I/O — many (offset, length) regions per request, up to
@@ -21,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..sim import Environment, Event, Lane, SimulationError
+from ..sim import Environment, Event, Join, Lane, SimulationError, Timeout
+from ..sim.events import URGENT
 from ..mpi.network import NetworkConfig, Nic, KIB, MIB
 from .bytestore import ByteStore
 from .disk import DiskModel
@@ -491,19 +496,14 @@ class FileSystem:
         (``replicas=1``) the seed behaviour — wait out the outage — is
         preserved exactly.
         """
-        procs = []
+        legs = []
         for server in self.servers:
             if server.dead or (not server.up and self.nreplicas > 1):
                 self.fault_stats["sync_skips"] += 1.0
                 continue
-            procs.append(
-                self.env.process(
-                    self._sync_one(client, server),
-                    name=f"sync-s{server.server_id}",
-                )
-            )
-        if procs:
-            yield self.env.all_of(procs)
+            legs.append(_ServerRequest(self, client, server, _SYNC))
+        if legs:
+            yield Join(self.env, *legs)
 
     # -- internals -----------------------------------------------------------------
     def _round_trip_metadata(self):
@@ -512,32 +512,42 @@ class FileSystem:
         yield from self.metadata.operation()
         yield self.env.timeout(net.latency_s)
 
-    def _client_tx(self, client: int, nbytes: int):
+    def _client_hold(self, client: int, nbytes: int):
         """Client-side serialization of ``nbytes`` into the file system.
 
         Rate-limited by the slower of the NIC and the PVFS2 client
         pipeline; holds the host NIC so file-system and MPI traffic
-        contend, as they did on Feynman's shared Myrinet.
+        contend, as they did on Feynman's shared Myrinet.  Returns the
+        hold's done event and the NIC (None on the per-client lane
+        fallback), to hand to :meth:`_count_tx` once the hold ends.
         """
         net = self.config.network
         rate = min(net.bandwidth_Bps, self.config.client_pipeline_Bps)
         seconds = nbytes / rate + net.cpu_overhead_s
         nic = self._client_nic(client) if self._client_nic is not None else None
-        if nic is None:
-            lane = self._client_locks.get(client)
-            if lane is None:
-                lane = self._client_locks[client] = Lane(self.env)
-            yield lane.hold(seconds)
-        else:
-            yield nic.tx.hold(seconds)
-            nic.stats.tx_messages += 1
-            nic.stats.tx_bytes += nbytes
-            m = self.env.metrics
-            if m.enabled:
-                # A shared adapter (ranks_per_nic > 1) carries several
-                # ranks' traffic — label by both so neither attribution
-                # is lost.
-                m.inc("mpi.nic_tx_bytes", float(nbytes), nic=nic.nic_id, rank=client)
+        if nic is not None:
+            return nic.tx.hold(seconds), nic
+        lane = self._client_locks.get(client)
+        if lane is None:
+            lane = self._client_locks[client] = Lane(self.env)
+        return lane.hold(seconds), None
+
+    def _count_tx(self, nic: Nic, client: int, nbytes: int) -> None:
+        nic.stats.tx_messages += 1
+        nic.stats.tx_bytes += nbytes
+        m = self.env.metrics
+        if m.enabled:
+            # A shared adapter (ranks_per_nic > 1) carries several
+            # ranks' traffic — label by both so neither attribution
+            # is lost.
+            m.inc("mpi.nic_tx_bytes", float(nbytes), nic=nic.nic_id, rank=client)
+
+    def _client_tx(self, client: int, nbytes: int):
+        """Process fragment: :meth:`_client_hold`, then :meth:`_count_tx`."""
+        done, nic = self._client_hold(client, nbytes)
+        yield done
+        if nic is not None:
+            self._count_tx(nic, client, nbytes)
 
     def _list_io(self, client: int, regions: List[Region], is_read: bool):
         """Process fragment: the wire side of a list-I/O call.
@@ -546,7 +556,8 @@ class FileSystem:
         offset (the order the server services them) and cut into chunks
         of at most ``listio_max_regions``.  Each chunk is one subrequest
         that carries its byte count; subrequests to distinct servers run
-        concurrently (as replica chains when ``replicas > 1``).  The
+        concurrently, as :class:`_ServerRequest` machines (as replica
+        chain processes when ``replicas > 1``).  The
         checker compares the logical total with the sum of the chunk
         counts, i.e. with what the mapping actually produced.
         """
@@ -570,64 +581,20 @@ class FileSystem:
             return
         if self.nreplicas > 1:
             make = self._one_replicated_read if is_read else self._one_replicated_write
+            legs = [
+                self.env.process(
+                    make(client, server, chunk, nbytes),
+                    name=f"io-c{client}-s{server.server_id}",
+                )
+                for server, chunk, nbytes in subrequests
+            ]
         else:
-            make = partial(self._one_server_request, is_read=is_read)
-        procs = [
-            self.env.process(
-                make(client, server, chunk, nbytes),
-                name=f"io-c{client}-s{server.server_id}",
-            )
-            for server, chunk, nbytes in subrequests
-        ]
-        yield self.env.all_of(procs)
-
-    def _one_server_request(
-        self,
-        client: int,
-        server: IOServer,
-        phys_regions: List[Region],
-        nbytes: int,
-        is_read: bool,
-    ):
-        net = self.config.network
-        header = self.config.request_header_B + 16 * len(phys_regions)
-
-        if not server.up:
-            yield from self._await_server(server)
-        if is_read:
-            # Request out (header only), data back.  The response leaves on
-            # the server's *outbound* channel — read replies must not queue
-            # behind incoming write payloads on ``net_in`` (full duplex,
-            # like a NIC's TX/RX split).
-            yield from self._client_tx(client, header)
-            yield self.env.timeout(net.latency_s)
-            yield from server.service_write(phys_regions, is_read=True)
-            yield server.net_out.hold(net.serialization_time(nbytes))
-            yield self.env.timeout(net.latency_s)
-        else:
-            # Header + payload out, small ack back.
-            yield from self._client_tx(client, header + nbytes)
-            yield self.env.timeout(net.latency_s)
-            yield server.net_in.hold(net.serialization_time(header + nbytes))
-            yield from server.service_write(phys_regions, is_read=False)
-            yield self.env.timeout(net.latency_s)
-
-    def _await_server(self, server: IOServer):
-        """Process fragment: back off exponentially until ``server`` is up.
-
-        Zero-cost in healthy runs — callers guard with ``if not server.up``
-        so no extra events enter the schedule unless an outage is active.
-        """
-        cfg = self.config
-        delay = cfg.retry_initial_s
-        while not server.up:
-            self.fault_stats["retries"] += 1.0
-            self.fault_stats["retry_wait_s"] += delay
-            m = self.env.metrics
-            if m.enabled:
-                m.inc("pvfs.retries", 1.0, server=server.server_id)
-            yield self.env.timeout(delay)
-            delay = min(delay * cfg.retry_backoff, cfg.retry_cap_s)
+            kind = _READ if is_read else _WRITE
+            legs = [
+                _ServerRequest(self, client, server, kind, chunk, nbytes)
+                for server, chunk, nbytes in subrequests
+            ]
+        yield Join(self.env, *legs)
 
     # -- replicated I/O -----------------------------------------------------
     def _one_replicated_write(
@@ -784,15 +751,6 @@ class FileSystem:
             yield self.env.timeout(delay)
             delay = min(delay * cfg.retry_backoff, cfg.retry_cap_s)
 
-    def _sync_one(self, client: int, server: IOServer):
-        net = self.config.network
-        if not server.up:
-            yield from self._await_server(server)
-        yield from self._client_tx(client, self.config.request_header_B)
-        yield self.env.timeout(net.latency_s)
-        yield from server.service_sync()
-        yield self.env.timeout(net.latency_s)
-
     # -- aggregate stats ------------------------------------------------------------
     def total_bytes_written(self) -> int:
         return sum(s.stats.bytes_written for s in self.servers)
@@ -802,3 +760,189 @@ class FileSystem:
 
     def total_syncs(self) -> int:
         return sum(s.stats.syncs for s in self.servers)
+
+
+_READ, _WRITE, _SYNC = 0, 1, 2
+
+
+class _ServerRequest(Event):
+    """One server's leg of a list-I/O call or a sync, as callbacks.
+
+    The client side of a ``replicas == 1`` subrequest and every per-server
+    sync leg run here instead of in a generator process.  Each step is a
+    callback on the event the process would have yielded, and every
+    ``schedule`` call happens in the order the process made it: an URGENT
+    start event where its ``Initialize`` was, the outage back-off
+    timeouts, the client TX hold (NIC stats counted after it), the wire
+    latency, the server's ``net_in`` hold (writes), the server side, the
+    ``net_out`` hold (reads), the return latency, and finally this event
+    itself, NORMAL, where the process's completion event was.  So the
+    ``(time, priority, eid)`` order and every result stay bit-identical.
+
+    Server side: on a bare server (FIFO, no cache, no read-ahead for
+    reads) the ``disk_res`` grant, the service timeout, the accounting
+    and the release are callbacks too.  Any other stack runs
+    :meth:`IOServer.service_write` / :meth:`IOServer.service_sync` as a
+    generator stepped in place, as the process did with ``yield from``;
+    an exception out of it fails this event where the process would have
+    died.
+    """
+
+    __slots__ = (
+        "fs", "client", "server", "kind", "regions", "nbytes", "tx_B",
+        "nic", "delay", "slot", "detail", "steps",
+    )
+
+    def __init__(
+        self,
+        fs: FileSystem,
+        client: int,
+        server: IOServer,
+        kind: int,
+        regions: Optional[List[Region]] = None,
+        nbytes: int = 0,
+    ) -> None:
+        super().__init__(fs.env)
+        self.fs = fs
+        self.client = client
+        self.server = server
+        self.kind = kind
+        self.regions = regions
+        self.nbytes = nbytes
+        header = fs.config.request_header_B
+        if kind == _SYNC:
+            self.tx_B = header
+        else:
+            header += 16 * len(regions)
+            # A read sends its header only; the data comes back.
+            self.tx_B = header + nbytes if kind == _WRITE else header
+        start = Event(self.env)
+        start._value = None
+        start.callbacks = [self._start]
+        self.env.schedule(start, URGENT)
+
+    # -- client: outage back-off, TX, wire ------------------------------------
+    def _start(self, _event: Event) -> None:
+        if self.server.up:
+            self._transmit()
+            return
+        self.delay = self.fs.config.retry_initial_s
+        self._back_off()
+
+    def _back_off(self) -> None:
+        fs = self.fs
+        delay = self.delay
+        fs.fault_stats["retries"] += 1.0
+        fs.fault_stats["retry_wait_s"] += delay
+        m = self.env.metrics
+        if m.enabled:
+            m.inc("pvfs.retries", 1.0, server=self.server.server_id)
+        Timeout(self.env, delay).callbacks.append(self._backed_off)
+
+    def _backed_off(self, _event: Event) -> None:
+        cfg = self.fs.config
+        self.delay = min(self.delay * cfg.retry_backoff, cfg.retry_cap_s)
+        if self.server.up:
+            self._transmit()
+        else:
+            self._back_off()
+
+    def _transmit(self) -> None:
+        done, self.nic = self.fs._client_hold(self.client, self.tx_B)
+        done.callbacks.append(self._sent)
+
+    def _sent(self, _event: Event) -> None:
+        if self.nic is not None:
+            self.fs._count_tx(self.nic, self.client, self.tx_B)
+        Timeout(self.env, self.fs.config.network.latency_s).callbacks.append(
+            self._arrived
+        )
+
+    def _arrived(self, _event: Event) -> None:
+        if self.kind == _WRITE:
+            self.server.net_in.hold(
+                self.fs.config.network.serialization_time(self.tx_B)
+            ).callbacks.append(self._serve)
+        else:
+            self._serve(_event)
+
+    # -- server ---------------------------------------------------------------
+    def _serve(self, _event: Event) -> None:
+        server = self.server
+        kind = self.kind
+        # A cache implies a disk queue, so this is "FIFO and no cache".
+        if server.disk_queue is None and not (kind == _READ and server.readahead_B):
+            if kind == _WRITE:
+                server._write_in(self.regions, self.nbytes)
+            self.slot = server.disk_res.request()
+            self.slot.callbacks.append(self._granted)
+            return
+        if kind == _SYNC:
+            self.steps = server.service_sync()
+        else:
+            self.steps = server.service_write(self.regions, is_read=kind == _READ)
+        self._step(None)
+
+    def _granted(self, _event: Event) -> None:
+        server = self.server
+        if self.kind == _SYNC:
+            seconds = server.disk.sync_time()
+        else:
+            self.detail = server._disk_begin(self.regions)
+            seconds = self.detail.seconds
+        Timeout(self.env, seconds).callbacks.append(self._serviced)
+
+    def _serviced(self, event: Event) -> None:
+        server = self.server
+        if self.kind == _SYNC:
+            server._sync_serviced(event.delay)
+        else:
+            server._disk_serviced(self.regions, self.kind == _READ, self.detail)
+        server.disk_res.release(self.slot)
+        self._served()
+
+    def _step(self, event: Optional[Event]) -> None:
+        """Advance the server-side generator, as a process resume would."""
+        steps = self.steps
+        while True:
+            try:
+                if event is None:
+                    target = steps.send(None)
+                elif event._ok:
+                    target = steps.send(event._value)
+                else:
+                    event._defused = True
+                    target = steps.throw(event._value)
+            except StopIteration:
+                self._served()
+                return
+            except Exception as error:
+                self._ok = False
+                self._value = error
+                self.env.schedule(self)
+                return
+            if target.callbacks is not None:
+                target.callbacks.append(self._step)
+                return
+            event = target
+
+    # -- reply ----------------------------------------------------------------
+    def _served(self) -> None:
+        if self.kind == _READ:
+            # The response leaves on the server's *outbound* channel — read
+            # replies must not queue behind incoming write payloads on
+            # ``net_in`` (full duplex, like a NIC's TX/RX split).
+            self.server.net_out.hold(
+                self.fs.config.network.serialization_time(self.nbytes)
+            ).callbacks.append(self._replied)
+        else:
+            self._replied(None)
+
+    def _replied(self, _event: Optional[Event]) -> None:
+        Timeout(self.env, self.fs.config.network.latency_s).callbacks.append(
+            self._done
+        )
+
+    def _done(self, _event: Event) -> None:
+        self._value = None
+        self.env.schedule(self)

@@ -117,10 +117,6 @@ class StripingLayout:
                 entries.append((lo, hi - lo))
         return by_server
 
-    def servers_touched(self, regions: Iterable[Region]) -> List[int]:
-        """Sorted list of servers holding any byte of ``regions``."""
-        return sorted(self.map_regions(regions).keys())
-
     # -- replication ----------------------------------------------------------
     def replica_chain(self, primary: int) -> List[int]:
         """Ordered replica set for strips whose primary is ``primary``.

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from ..sim import Environment, Lane, Resource
 from . import extents
 from .cache import ABSORB_REGION_S, WriteBackCache
-from .disk import DiskModel
+from .disk import DiskModel, ServiceDetail
 from .sched import DiskQueue, make_policy
 
 MIB = 1024 * 1024
@@ -235,11 +235,17 @@ class IOServer:
         if self.disk_queue is not None:
             self.disk_queue.reset()
 
-    def _disk_service(self, regions: List[Tuple[int, int]], is_read: bool):
-        """Process fragment: service ``regions``; the disk must be held."""
+    def _disk_begin(self, regions: List[Tuple[int, int]]) -> ServiceDetail:
+        """Price ``regions`` from the current head and move the head there;
+        the disk must be held."""
         detail = self.disk.service_detail(regions, self.head_position)
         self.head_position = detail.new_head
-        yield self.env.timeout(detail.seconds)
+        return detail
+
+    def _disk_serviced(
+        self, regions: List[Tuple[int, int]], is_read: bool, detail: ServiceDetail
+    ) -> None:
+        """Account a disk service once its time has passed."""
         if not is_read:
             c = self.env.check
             if c.enabled:
@@ -270,6 +276,12 @@ class IOServer:
             self._h_regions.observe(detail.regions)
             self._h_service.observe(detail.seconds)
 
+    def _disk_service(self, regions: List[Tuple[int, int]], is_read: bool):
+        """Process fragment: service ``regions``; the disk must be held."""
+        detail = self._disk_begin(regions)
+        yield self.env.timeout(detail.seconds)
+        self._disk_serviced(regions, is_read, detail)
+
     def _acquire_and_service(self, regions: List[Tuple[int, int]], is_read: bool):
         """Process fragment: take the disk (queue or bare), then service."""
         if self.disk_queue is None:
@@ -286,6 +298,15 @@ class IOServer:
         finally:
             self.disk_queue.release(self.head_position)
 
+    def _write_in(self, regions: List[Tuple[int, int]], nbytes: int) -> None:
+        """A write's ``nbytes`` in ``regions`` have crossed ``net_in``:
+        check them in and drop the prefetched extents they outdate."""
+        c = self.env.check
+        if c.enabled:
+            c.server_write_in(self.server_id, nbytes)
+        if self._ra_runs or self._ra_inflight:
+            self._ra_invalidate(regions)
+
     def service_write(self, regions: List[Tuple[int, int]], is_read: bool = False):
         """Process fragment: service ``regions`` through the I/O stack.
 
@@ -297,13 +318,7 @@ class IOServer:
         extent, so a read can never be answered from pre-flush disk state.
         """
         if not is_read:
-            c = self.env.check
-            if c.enabled:
-                c.server_write_in(
-                    self.server_id, sum(length for _, length in regions)
-                )
-            if self._ra_runs or self._ra_inflight:
-                self._ra_invalidate(regions)
+            self._write_in(regions, sum(length for _, length in regions))
         span = extents.span(regions) if is_read and self.readahead_B else None
         cache = self.cache
         if cache is not None:
@@ -438,11 +453,7 @@ class IOServer:
         point — real rebuilds use direct I/O for the same reason.
         """
         nbytes = sum(length for _, length in regions)
-        c = self.env.check
-        if c.enabled:
-            c.server_write_in(self.server_id, nbytes)
-        if self._ra_runs or self._ra_inflight:
-            self._ra_invalidate(regions)
+        self._write_in(regions, nbytes)
         yield from self._acquire_and_service(regions, is_read=False)
         self.stats.rebuild_bytes += nbytes
         if self._m_enabled:
@@ -471,6 +482,10 @@ class IOServer:
         """Process fragment: the sync cost proper; the disk must be held."""
         seconds = self.disk.sync_time()
         yield self.env.timeout(seconds)
+        self._sync_serviced(seconds)
+
+    def _sync_serviced(self, seconds: float) -> None:
+        """Account a sync once its ``seconds`` on the disk have passed."""
         self.stats.syncs += 1
         self.stats.busy_s += seconds
         if self._m_enabled:

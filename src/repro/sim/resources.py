@@ -159,10 +159,12 @@ class Lane:
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self._busy = False
-        self._waiting: Deque[Tuple[float, Event]] = deque()
+        # Most lanes never queue a hold (a thousand-rank run builds
+        # thousands of them), so the wait queue is made on first use.
+        self._waiting: Optional[Deque[Tuple[float, Event]]] = None
 
     def __repr__(self) -> str:
-        return f"<Lane busy={self._busy} queued={len(self._waiting)}>"
+        return f"<Lane busy={self._busy} queued={self.queued}>"
 
     @property
     def busy(self) -> bool:
@@ -172,7 +174,7 @@ class Lane:
     @property
     def queued(self) -> int:
         """Holds waiting behind the running one."""
-        return len(self._waiting)
+        return len(self._waiting) if self._waiting else 0
 
     def hold(self, seconds: float) -> Event:
         """Occupy the lane for ``seconds`` after the holds queued before
@@ -182,6 +184,8 @@ class Lane:
                 raise ValueError(f"hold must be finite and >= 0, got {seconds!r}")
             done = Event(self.env)
             done.callbacks.append(self._free)  # type: ignore[union-attr]
+            if self._waiting is None:
+                self._waiting = deque()
             self._waiting.append((seconds, done))
             return done
         done = Timeout(self.env, seconds)

@@ -1,10 +1,13 @@
 """FileSystem: client ops, parallelism, contention, stats, namespace."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import S3aSim, SimulationConfig
 from repro.mpi.network import NetworkConfig
 from repro.pvfs import DiskModel, FileSystem, PVFSConfig
-from repro.sim import Environment
+from repro.sim import Environment, Process
 
 KIB, MIB = 1024, 1024 * 1024
 
@@ -193,6 +196,58 @@ class TestSync:
         run(env, proc())
         assert fs.total_syncs() == 6
         assert all(s.stats.syncs == 1 for s in fs.servers)
+
+
+class TestServerRequestLegs:
+    @pytest.mark.parametrize(
+        "strategy,replicas", [("ww-list", 1), ("ww-posix", 1), ("ww-list", 2)]
+    )
+    def test_only_replica_chains_start_leg_processes(
+        self, monkeypatch, strategy, replicas
+    ):
+        """Per-server legs of list I/O and syncs are callback machines;
+        only ``replicas > 1`` chains still start ``io-c*`` processes."""
+        names = []
+        init = Process.__init__
+
+        def recording_init(self, env, generator, name=None):
+            init(self, env, generator, name)
+            names.append(self.name)
+
+        monkeypatch.setattr(Process, "__init__", recording_init)
+        cfg = SimulationConfig(strategy=strategy, nprocs=4, nqueries=2, nfragments=4)
+        cfg = cfg.with_(pvfs=replace(cfg.pvfs, replicas=replicas))
+        assert S3aSim(cfg).run().file_stats.complete
+        assert not [n for n in names if n.startswith("sync-s")]
+        chains = [n for n in names if n.startswith("io-c")]
+        assert bool(chains) == (replicas > 1)
+
+    @pytest.mark.parametrize("disk_sched", ["fifo", "elevator"])
+    def test_server_side_failure_reaches_the_caller(self, disk_sched):
+        """An exception out of the server stack fails the call at the
+        instant it is raised.  Read-ahead keeps both stacks off the bare
+        callback path, so the leg steps ``service_write``."""
+        env = Environment()
+        fs = make_fs(env, disk_sched=disk_sched, readahead_B=64 * KIB)
+        caught = []
+
+        def broken(regions, is_read=False):
+            yield env.timeout(1.0)
+            raise RuntimeError("disk on fire")
+
+        fs.servers[1].service_write = broken
+
+        def proc():
+            f = yield from fs.open(0, "/a")
+            started = env.now
+            try:
+                yield from fs.read_list(0, f, [(0, 4 * 64 * KIB)])
+            except RuntimeError as exc:
+                caught.append((str(exc), env.now - started))
+
+        run(env, proc())
+        assert len(caught) == 1 and caught[0][0] == "disk on fire"
+        assert 1.0 < caught[0][1] < 1.001
 
 
 class TestContention:

@@ -82,12 +82,6 @@ class TestMapExtent:
             1: [(0, 10), (10, 10)],
         }
 
-    def test_servers_touched(self):
-        layout = StripingLayout(strip_size=100, nservers=8)
-        assert layout.servers_touched([(0, 100)]) == [0]
-        assert layout.servers_touched([(0, 250)]) == [0, 1, 2]
-        assert layout.servers_touched([(700, 150)]) == [0, 7]
-
 
 def logical_of(layout, server, physical):
     """Invert the layout: the logical offset stored at ``physical`` on

@@ -153,6 +153,22 @@ class TestLaneBasics:
             lane.hold(bad)
         assert lane.queued == 0
 
+    def test_fresh_and_drained_lanes_queue_nothing(self):
+        env = Environment()
+        lane = Lane(env)
+        assert lane.queued == 0 and repr(lane) == "<Lane busy=False queued=0>"
+        lane.hold(1.0)
+        assert lane.queued == 0 and repr(lane) == "<Lane busy=True queued=0>"
+        lane.hold(1.0)
+        assert lane.queued == 1
+        env.run()
+        assert lane.queued == 0 and repr(lane) == "<Lane busy=False queued=0>"
+        lane.hold(1.0)
+        lane.hold(2.0)
+        assert lane.queued == 1
+        env.run()
+        assert env.now == 5.0 and lane.queued == 0
+
     def test_repr(self):
         env = Environment()
         lane = Lane(env)
@@ -247,7 +263,8 @@ class TestInterruptedHolder:
     ):
         """The documented difference never matters: a worker crash is the
         only interrupt, and worker processes never hold a lane themselves
-        (sends are callback machines, file I/O runs in helper processes)."""
+        (sends are callback machines, file I/O runs in callback machines
+        or helper processes)."""
         holders, interrupted = set(), []
         hold, interrupt = Lane.hold, Process.interrupt
 
@@ -270,5 +287,5 @@ class TestInterruptedHolder:
         result = S3aSim(cfg).run()
         assert result.fault_stats["crashes"] == 1
         assert interrupted
-        assert holders - {None}, "helper processes hold lanes in every run"
+        assert holders, "the spy saw no lane hold"
         assert not holders.intersection(interrupted)
