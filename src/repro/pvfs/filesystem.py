@@ -687,10 +687,9 @@ class FileSystem:
         rescans — rebuild or restore eventually produces one.
         """
         net = self.config.network
-        cfg = self.config
         header = self.config.request_header_B + 16 * len(phys_regions)
         chain = self.layout.replica_chain(primary.server_id)
-        delay = cfg.retry_initial_s
+        delay = self.config.retry_initial_s
 
         while True:
             choice = None
@@ -710,13 +709,8 @@ class FileSystem:
                 raise SimulationError(
                     f"replica chain {chain} is entirely dead — data lost"
                 )
-            self.fault_stats["retries"] += 1.0
-            self.fault_stats["retry_wait_s"] += delay
-            m = self.env.metrics
-            if m.enabled:
-                m.inc("pvfs.retries", 1.0, server=chain[0])
-            yield self.env.timeout(delay)
-            delay = min(delay * cfg.retry_backoff, cfg.retry_cap_s)
+            wait, delay = delay, self._retry(delay, chain[0])
+            yield self.env.timeout(wait)
 
         slot, member, regions_r = choice
         if slot != 0:
@@ -736,20 +730,25 @@ class FileSystem:
         Raises :class:`SimulationError` when every member is permanently
         dead — the data is gone and stalling forever would just hide it.
         """
-        cfg = self.config
-        delay = cfg.retry_initial_s
+        delay = self.config.retry_initial_s
         while not any(self.servers[sid].up for sid in chain):
             if all(self.servers[sid].dead for sid in chain):
                 raise SimulationError(
                     f"replica chain {chain} is entirely dead — data lost"
                 )
-            self.fault_stats["retries"] += 1.0
-            self.fault_stats["retry_wait_s"] += delay
-            m = self.env.metrics
-            if m.enabled:
-                m.inc("pvfs.retries", 1.0, server=chain[0])
-            yield self.env.timeout(delay)
-            delay = min(delay * cfg.retry_backoff, cfg.retry_cap_s)
+            wait, delay = delay, self._retry(delay, chain[0])
+            yield self.env.timeout(wait)
+
+    def _retry(self, delay: float, server: int) -> float:
+        """Count one back-off of ``delay`` seconds, labelled with ``server``,
+        and return the next delay (bounded exponential)."""
+        self.fault_stats["retries"] += 1.0
+        self.fault_stats["retry_wait_s"] += delay
+        m = self.env.metrics
+        if m.enabled:
+            m.inc("pvfs.retries", 1.0, server=server)
+        cfg = self.config
+        return min(delay * cfg.retry_backoff, cfg.retry_cap_s)
 
     # -- aggregate stats ------------------------------------------------------------
     def total_bytes_written(self) -> int:
@@ -830,18 +829,11 @@ class _ServerRequest(Event):
         self._back_off()
 
     def _back_off(self) -> None:
-        fs = self.fs
-        delay = self.delay
-        fs.fault_stats["retries"] += 1.0
-        fs.fault_stats["retry_wait_s"] += delay
-        m = self.env.metrics
-        if m.enabled:
-            m.inc("pvfs.retries", 1.0, server=self.server.server_id)
-        Timeout(self.env, delay).callbacks.append(self._backed_off)
+        wait = self.delay
+        self.delay = self.fs._retry(wait, self.server.server_id)
+        Timeout(self.env, wait).callbacks.append(self._backed_off)
 
     def _backed_off(self, _event: Event) -> None:
-        cfg = self.fs.config
-        self.delay = min(self.delay * cfg.retry_backoff, cfg.retry_cap_s)
         if self.server.up:
             self._transmit()
         else:
