@@ -329,26 +329,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_check_summary(app: S3aSim) -> None:
-    """The invariant checker's closing summary (nothing without --check)."""
+    """The invariant checker's closing summary (nothing without --check).
+
+    A serve-mode run reports its arrival law, any other run its wire and
+    message ledgers; a replicated run adds the replica ledger.
+    """
     checker = app.world.env.check
-    if not checker.enabled:
-        return
-    summary = checker.summary()
-    kinds = "  ".join(
-        f"{kind}={sent}/{delivered}"
-        for kind, (sent, _, delivered, _) in summary["messages"].items()
-    )
-    print(
-        f"invariants: {summary['checks']} checks passed "
-        f"(wire {summary['tx_bytes']} B tx / {summary['rx_bytes']} B rx, "
-        f"msgs sent/delivered {kinds})"
-    )
-    if summary.get("replica_writes"):
-        print(
-            f"replication: {summary['replica_writes']} replicated writes, "
-            f"{summary['replica_acked_bytes']} B acked on live replicas, "
-            f"{summary['replica_outstanding_bytes']} B durability gap open"
-        )
+    if checker.enabled:
+        summary = checker.summary()
+        if app.config.arrival is not None:
+            a = summary["arrivals"]
+            law = (
+                f"arrival law offered+stolen={a['offered']}+{a['stolen']} = "
+                f"admitted+rejected={a['admitted']}+{a['rejected']}"
+            )
+        else:
+            kinds = "  ".join(
+                f"{kind}={sent}/{delivered}"
+                for kind, (sent, _, delivered, _) in summary["messages"].items()
+            )
+            law = (
+                f"wire {summary['tx_bytes']} B tx / {summary['rx_bytes']} B rx, "
+                f"msgs sent/delivered {kinds}"
+            )
+        print(f"invariants: {summary['checks']} checks passed ({law})")
+        if summary["replica_writes"]:
+            print(
+                f"replication: {summary['replica_writes']} replicated writes, "
+                f"{summary['replica_acked_bytes']} B acked on live replicas, "
+                f"{summary['replica_outstanding_bytes']} B durability gap open"
+            )
 
 
 def _print_serve_stats(serve: dict, indent: str = "") -> None:
@@ -394,18 +404,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for index, shard_stats in enumerate(result.shard_serve_stats):
             print(f"shard {index}:")
             _print_serve_stats(shard_stats, indent="  ")
-    checker = app.world.env.check
-    if checker.enabled:
-        summary = checker.summary()
-        arrivals = summary.get("arrivals", {})
-        stolen = arrivals.get("stolen", 0)
-        print(
-            f"invariants: {summary['checks']} checks passed "
-            f"(arrival law offered+stolen={arrivals.get('offered', 0)}"
-            f"+{stolen} = "
-            f"admitted+rejected={arrivals.get('admitted', 0)}"
-            f"+{arrivals.get('rejected', 0)})"
-        )
+    _print_check_summary(app)
     if args.json:
         import json as _json
 
