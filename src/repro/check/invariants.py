@@ -22,7 +22,8 @@ and layout laws that every layer must uphold on every run:
 
 This module follows the :mod:`repro.obs` pattern exactly: the
 :class:`~repro.sim.environment.Environment` carries :data:`NULL_CHECKER`
-by default (every hook a no-op behind an ``enabled`` guard), and an
+by default (no hooks at all: every hook call sits behind an ``enabled``
+guard), and an
 attached :class:`InvariantChecker` does pure-Python bookkeeping only — it
 schedules no events, draws no random numbers, and reads no wall clock, so
 a checked run is bit-identical in virtual time to an unchecked one
@@ -69,107 +70,15 @@ class InvariantViolation(Exception):
 
 
 class NullChecker:
-    """The disabled checker: every hook is a no-op.
+    """The disabled checker: ``enabled = False`` and no hooks at all.
 
-    Instrumented sites guard with ``if check.enabled`` (one attribute load
-    and a branch), mirroring :class:`~repro.obs.metrics.NullMetrics`.
+    Every instrumented site guards with ``if check.enabled`` (one attribute
+    load and a branch), so no hook is ever called on it;
+    ``tests/check/test_hook_guards.py`` holds every hook call in
+    ``src/repro`` to that guard.
     """
 
     enabled = False
-
-    def nic_tx(self, nbytes: int) -> None:
-        pass
-
-    def nic_rx(self, nbytes: int) -> None:
-        pass
-
-    def wire_drop(self, nbytes: int) -> None:
-        pass
-
-    def msg_sent(self, kind: str, nbytes: int) -> None:
-        pass
-
-    def msg_delivered(self, kind: str, nbytes: int) -> None:
-        pass
-
-    def server_write_in(self, server_id: int, nbytes: int) -> None:
-        pass
-
-    def server_disk_write(self, server_id: int, nbytes: int) -> None:
-        pass
-
-    def cache_absorb(self, server_id: int, nbytes: int, merged_away: int) -> None:
-        pass
-
-    def cache_state(
-        self, server_id: int, runs: Sequence[Tuple[int, int]], dirty_bytes: int
-    ) -> None:
-        pass
-
-    def cache_flush(
-        self, server_id: int, runs: Sequence[Tuple[int, int]], nbytes: int
-    ) -> None:
-        pass
-
-    def cache_lost(self, server_id: int, nbytes: int) -> None:
-        pass
-
-    def replica_write(
-        self, primary: int, nbytes: int, nlive: int, nmissed: int, ndead: int
-    ) -> None:
-        pass
-
-    def replica_missed(self, server_id: int, nbytes: int) -> None:
-        pass
-
-    def replica_rebuilt(self, server_id: int, nbytes: int) -> None:
-        pass
-
-    def server_dead(self, server_id: int, abandoned_bytes: int) -> None:
-        pass
-
-    def layout_mapped(self, logical_bytes: int, physical_bytes: int) -> None:
-        pass
-
-    def offsets_assigned(
-        self,
-        query_id,
-        base,
-        block_size,
-        offsets_by_fragment,
-        sizes_by_fragment,
-        shard: int = 0,
-    ) -> None:
-        pass
-
-    def entry_alignment(
-        self, query_id: int, fragment_id: int, noffsets: int, nsizes: int
-    ) -> None:
-        pass
-
-    def arrival(self, outcome: str, shard: int = 0) -> None:
-        pass
-
-    def arrival_completed(self, shard: int = 0) -> None:
-        pass
-
-    def strategy_chosen(self, query_id: int, name: str, shard: int = 0) -> None:
-        pass
-
-    def strategy_executed(self, query_id: int, name: str, shard: int = 0) -> None:
-        pass
-
-    def strategy_traced(self, query_id: int, name: str, shard: int = 0) -> None:
-        pass
-
-    def finalize(
-        self,
-        now: float,
-        recorder=None,
-        fault_free: bool = True,
-        open_queries=None,
-    ) -> None:
-        pass
 
     def __repr__(self) -> str:
         return "<NullChecker>"
@@ -275,9 +184,9 @@ class InvariantChecker:
         # Per-query strategy ledgers (every run): the name the master chose
         # (a static run's own strategy, or hybrid-auto's selector pick), the
         # name the write path actually executed, and the name stamped into
-        # the trace, keyed by (shard, query).  All
-        # three must agree — checked incrementally (a second record with a
-        # different name fails on the spot) and again at finalize.
+        # the trace, keyed by (shard, query).  All three must agree: a second
+        # record with a different name fails on the spot, executed = chosen
+        # is checked when the write is recorded, traced = chosen at finalize.
         self.strategy_chosen_by: Dict[Tuple[int, int], str] = {}
         self.strategy_executed_by: Dict[Tuple[int, int], str] = {}
         self.strategy_traced_by: Dict[Tuple[int, int], str] = {}
@@ -305,6 +214,16 @@ class InvariantChecker:
         return ledger
 
     # -- MPI layer ----------------------------------------------------------
+    def _wire_fail(self, message: str) -> None:
+        self._fail(
+            "mpi",
+            "wire-conservation",
+            message,
+            tx=self.tx_bytes,
+            rx=self.rx_bytes,
+            dropped=self.dropped_bytes,
+        )
+
     def nic_tx(self, nbytes: int) -> None:
         self.checks += 1
         self.tx_bytes += nbytes
@@ -313,27 +232,13 @@ class InvariantChecker:
         self.checks += 1
         self.rx_bytes += nbytes
         if self.rx_bytes + self.dropped_bytes > self.tx_bytes:
-            self._fail(
-                "mpi",
-                "wire-conservation",
-                "received+dropped bytes exceed transmitted bytes",
-                tx=self.tx_bytes,
-                rx=self.rx_bytes,
-                dropped=self.dropped_bytes,
-            )
+            self._wire_fail("received+dropped bytes exceed transmitted bytes")
 
     def wire_drop(self, nbytes: int) -> None:
         self.checks += 1
         self.dropped_bytes += nbytes
         if self.rx_bytes + self.dropped_bytes > self.tx_bytes:
-            self._fail(
-                "mpi",
-                "wire-conservation",
-                "received+dropped bytes exceed transmitted bytes",
-                tx=self.tx_bytes,
-                rx=self.rx_bytes,
-                dropped=self.dropped_bytes,
-            )
+            self._wire_fail("received+dropped bytes exceed transmitted bytes")
 
     def msg_sent(self, kind: str, nbytes: int) -> None:
         self.checks += 1
@@ -395,39 +300,25 @@ class InvariantChecker:
         self, server_id: int, runs: Sequence[Tuple[int, int]], dirty_bytes: int
     ) -> None:
         self.checks += 1
-        total = self._validate_runs(server_id, runs)
-        if total != dirty_bytes:
-            self._fail(
-                "pvfs",
-                "cache-gauge",
-                f"server {server_id} dirty-byte gauge {dirty_bytes} != "
-                f"extent sum {total}",
-                server=server_id,
-                gauge=dirty_bytes,
-                extent_sum=total,
-            )
+        self._validate_runs(server_id, runs, dirty_bytes, "cache-gauge", "gauge")
         self._server(server_id).dirty = dirty_bytes
 
     def cache_flush(
         self, server_id: int, runs: Sequence[Tuple[int, int]], nbytes: int
     ) -> None:
         self.checks += 1
-        total = self._validate_runs(server_id, runs)
-        if total != nbytes:
-            self._fail(
-                "pvfs",
-                "cache-flush",
-                f"server {server_id} flushed {nbytes} B but its extents "
-                f"sum to {total}",
-                server=server_id,
-                flushed=nbytes,
-                extent_sum=total,
-            )
+        self._validate_runs(server_id, runs, nbytes, "cache-flush", "flushed")
 
     def _validate_runs(
-        self, server_id: int, runs: Sequence[Tuple[int, int]]
-    ) -> int:
-        """Dirty extents must be sorted, positive, and non-overlapping."""
+        self,
+        server_id: int,
+        runs: Sequence[Tuple[int, int]],
+        expected: int,
+        invariant: str,
+        label: str,
+    ) -> None:
+        """Dirty extents must be sorted, positive, non-overlapping, and sum
+        to ``expected`` (the dirty-byte gauge, or the bytes a flush wrote)."""
         total = 0
         prev_end: Optional[int] = None
         for lo, hi in runs:
@@ -450,7 +341,15 @@ class InvariantChecker:
                 )
             prev_end = hi
             total += hi - lo
-        return total
+        if total != expected:
+            self._fail(
+                "pvfs",
+                invariant,
+                f"server {server_id} {label} {expected} B != extent sum {total}",
+                server=server_id,
+                extent_sum=total,
+                **{label: expected},
+            )
 
     def cache_lost(self, server_id: int, nbytes: int) -> None:
         self.checks += 1
@@ -514,28 +413,24 @@ class InvariantChecker:
         self.checks += 1
         ledger = self._server(server_id)
         ledger.rebuilt += nbytes
-        if ledger.rebuilt + ledger.abandoned > ledger.missed:
-            self._fail(
-                "pvfs",
-                "rebuild-overrun",
-                f"server {server_id} rebuilt more bytes than were ever missed",
-                server=server_id,
-                missed=ledger.missed,
-                rebuilt=ledger.rebuilt,
-                abandoned=ledger.abandoned,
-            )
+        self._missed_overrun(server_id, ledger, "rebuild-overrun", "rebuilt")
 
     def server_dead(self, server_id: int, abandoned_bytes: int) -> None:
         self.checks += 1
         ledger = self._server(server_id)
         ledger.dead = True
         ledger.abandoned += abandoned_bytes
+        self._missed_overrun(server_id, ledger, "replica-ledger", "abandoned")
+
+    def _missed_overrun(
+        self, server_id: int, ledger: _ServerLedger, invariant: str, verb: str
+    ) -> None:
+        """Rebuilt plus abandoned bytes never exceed the bytes missed."""
         if ledger.rebuilt + ledger.abandoned > ledger.missed:
             self._fail(
                 "pvfs",
-                "replica-ledger",
-                f"server {server_id} abandoned more bytes than were ever "
-                f"missed",
+                invariant,
+                f"server {server_id} {verb} more bytes than were ever missed",
                 server=server_id,
                 missed=ledger.missed,
                 rebuilt=ledger.rebuilt,
@@ -736,7 +631,7 @@ class InvariantChecker:
         )
         key = (shard, query_id)
         chosen = self.strategy_chosen_by.get(key)
-        if chosen is None or chosen != name:
+        if chosen != name:
             self._fail(
                 "adapt",
                 "strategy-ledger",
@@ -768,19 +663,7 @@ class InvariantChecker:
                     chosen=chosen,
                     traced=traced,
                 )
-            executed = self.strategy_executed_by.get(key)
-            if executed is not None and executed != chosen:
-                self._fail(
-                    "adapt",
-                    "strategy-ledger",
-                    f"query {q} chosen as {chosen!r} but executed as "
-                    f"{executed!r}",
-                    query=q,
-                    shard=shard,
-                    chosen=chosen,
-                    executed=executed,
-                )
-            if fault_free and executed is None:
+            if fault_free and key not in self.strategy_executed_by:
                 self._fail(
                     "adapt",
                     "strategy-ledger",
@@ -788,16 +671,6 @@ class InvariantChecker:
                     query=q,
                     shard=shard,
                     chosen=chosen,
-                )
-        for key in sorted(self.strategy_executed_by):
-            if key not in self.strategy_chosen_by:
-                shard, q = key
-                self._fail(
-                    "adapt",
-                    "strategy-ledger",
-                    f"query {q} executed without a recorded choice",
-                    query=q,
-                    shard=shard,
                 )
 
     # -- end-of-run conservation --------------------------------------------
@@ -810,9 +683,10 @@ class InvariantChecker:
     ) -> None:
         """Run the global laws once the simulation has stopped.
 
-        ``open_queries`` is the master's count of admitted-but-not-durable
-        queries — an int for single-master runs, a ``{shard: count}`` dict
-        for sharded runs (the ledger equality then holds per shard too).
+        ``open_queries`` maps each master's shard to its count of
+        admitted-but-not-durable queries (``None`` for a closed batch); the
+        admission ledger must leave exactly that many open, per shard and
+        in total.
 
         ``fault_free`` selects strict equalities: with an empty fault plan
         every non-OOB message is consumed by its receiver before the ranks
@@ -820,7 +694,10 @@ class InvariantChecker:
         faults, messages a crashed worker stopped waiting for (stale
         scores, retransmissions mid-backoff) may legitimately be in flight
         when the last rank exits, so the laws relax to monotone
-        inequalities — already enforced continuously by the hooks.
+        inequalities — already enforced continuously by the hooks.  Laws
+        whose only writer is a hook that checks them at once (executed =
+        chosen strategy, rebuilt + abandoned <= missed) are not restated
+        here.
         """
         self._finalize_mpi(fault_free)
         self._finalize_servers()
@@ -839,13 +716,13 @@ class InvariantChecker:
                 "donated queries not all re-admitted by a thief at end of run",
                 **self.arrivals,
             )
-        open_by_shard: Dict[int, Optional[int]] = {}
-        if isinstance(open_queries, dict):
-            open_by_shard = dict(open_queries)
-        ledgers = [("global", self.arrivals, None)] + [
-            (f"shard {s}", led, s) for s, led in sorted(self.shard_arrivals.items())
+        open_by_shard: Dict[int, int] = open_queries or {}
+        open_total = sum(open_by_shard.values()) if open_by_shard else None
+        ledgers = [("global", self.arrivals, open_total)] + [
+            (f"shard {s}", led, open_by_shard.get(s))
+            for s, led in sorted(self.shard_arrivals.items())
         ]
-        for name, a, shard in ledgers:
+        for name, a, expected in ledgers:
             if a["admitted"] + a["rejected"] != a["offered"] + a["stolen"]:
                 self._fail(
                     "serve",
@@ -855,13 +732,6 @@ class InvariantChecker:
                     ledger=name,
                     **a,
                 )
-            expected = (
-                open_queries
-                if shard is None and not isinstance(open_queries, dict)
-                else open_by_shard.get(shard)
-                if shard is not None
-                else (sum(open_by_shard.values()) if open_by_shard else None)
-            )
             if expected is not None:
                 open_events = (
                     a["admitted"] - a["shed"] - a["donated"] - a["completed"]
@@ -879,14 +749,7 @@ class InvariantChecker:
 
     def _finalize_mpi(self, fault_free: bool) -> None:
         if fault_free and self.tx_bytes != self.rx_bytes + self.dropped_bytes:
-            self._fail(
-                "mpi",
-                "wire-conservation",
-                "transmitted bytes not fully received at end of run",
-                tx=self.tx_bytes,
-                rx=self.rx_bytes,
-                dropped=self.dropped_bytes,
-            )
+            self._wire_fail("transmitted bytes not fully received at end of run")
         for kind, (sent, sent_b, delivered, delivered_b) in sorted(
             self.messages.items()
         ):
@@ -934,16 +797,6 @@ class InvariantChecker:
                     lost=ledger.lost,
                 )
             gap = ledger.missed - ledger.rebuilt - ledger.abandoned
-            if gap < 0:
-                self._fail(
-                    "pvfs",
-                    "replica-ledger",
-                    f"server {server_id}: negative durability gap",
-                    server=server_id,
-                    missed=ledger.missed,
-                    rebuilt=ledger.rebuilt,
-                    abandoned=ledger.abandoned,
-                )
             if ledger.dead and gap:
                 self._fail(
                     "pvfs",

@@ -36,8 +36,9 @@ class Environment:
         # null registry makes every metric call a no-op; the kernel itself
         # never reads it, so metrics cannot perturb event ordering.
         self.metrics = NULL_METRICS
-        # Invariant-checking hook (``--check``): same null-object pattern —
-        # pure bookkeeping when enabled, so the event order is untouched.
+        # Invariant-checking hook (``--check``): the null checker has no
+        # hooks, so every call site guards on ``check.enabled``; an enabled
+        # checker is pure bookkeeping, so the event order is untouched.
         self.check = NULL_CHECKER
 
     def __repr__(self) -> str:
