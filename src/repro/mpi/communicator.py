@@ -4,7 +4,8 @@ Each rank gets its own :class:`RankComm` handle (as in real MPI, where every
 process holds its own view of the communicator).  Sends move bytes through
 the :class:`~repro.mpi.network.Network` — eager, OOB and loopback sends as
 small callback-driven state machines, rendezvous sends as a protocol
-process; receives go through the rank's :class:`~repro.mpi.mailbox.Mailbox`.
+process whose RTS hold is issued at the call; receives go through the
+rank's :class:`~repro.mpi.mailbox.Mailbox`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..sim import Environment, Event, Timeout
-from ..sim.events import URGENT
 from .constants import ANY_SOURCE, ANY_TAG, EAGER, RENDEZVOUS_RTS
 from .mailbox import Mailbox
 from .message import Envelope, Status
@@ -115,8 +115,13 @@ class Communicator:
             _EagerSend(self, src, dst, tag, nbytes, payload, seq, request)
         else:
             kind = "rendezvous"
+            # The RTS header's TX hold is issued at the call, like an eager
+            # send's, so the rank's operations reach its NIC in issue order.
+            rts = self.network.nic(self.ranks[src]).tx.hold(
+                config.serialization_time(HEADER_BYTES) + config.cpu_overhead_s
+            )
             self.env.process(
-                self._rendezvous(src, dst, tag, nbytes, payload, seq, request),
+                self._rendezvous(src, dst, tag, nbytes, payload, seq, request, rts),
                 name=f"rndv-{src}->{dst}",
             )
         m = self.env.metrics
@@ -128,18 +133,19 @@ class Communicator:
             c.msg_sent(kind, nbytes)
         return request
 
-    def _rendezvous(self, src, dst, tag, nbytes, payload, seq, request):
+    def _rendezvous(self, src, dst, tag, nbytes, payload, seq, request, rts):
         cts = self.env.event()
         data = self.env.event()
         header = Envelope(
             src=src, dst=dst, tag=tag, nbytes=nbytes, payload=None,
             kind=RENDEZVOUS_RTS, seq=seq, cts_event=cts, data_event=data,
         )
-        # RTS header to the receiver.
-        yield from self.network.occupy_tx(self.ranks[src], HEADER_BYTES)
-        yield from self.network.deliver(
-            self.ranks[src], self.ranks[dst], HEADER_BYTES
-        )
+        # RTS header to the receiver, once its TX hold ``rts`` ends.
+        network = self.network
+        gsrc = self.ranks[src]
+        yield rts
+        network.count_tx(network.nic(gsrc), gsrc, HEADER_BYTES)
+        yield from network.deliver(gsrc, self.ranks[dst], HEADER_BYTES)
         self.mailboxes[dst].deliver(header)
         # Delivered once the receiver holds the RTS envelope: the payload
         # stream is driven by the matched receive from here on.
@@ -158,11 +164,15 @@ class Communicator:
 class _Send:
     """A send whose protocol steps are callbacks, not a process.
 
-    Each step is a callback on the event a protocol process would have
-    yielded, and every ``schedule`` call happens in the order the process
-    made it: the same eids, hence the same ``(time, priority, eid)`` order
-    and bit-identical results.  The one event dropped is the process's
-    completion event, which had no callbacks.  NIC holds go through
+    The first step runs in the constructor, at the call, where a protocol
+    process would have run it, in its ``Initialize`` event.  Every
+    send, every rendezvous RTS hold and every PVFS leg starts at its call,
+    so the operations a rank issues at one instant still reach its NIC in
+    issue order, and the results stay bit-identical (``docs/MODELING.md``
+    §1).  Each later step is a callback on the event the process would
+    have yielded, scheduled in the order the process scheduled it.  The
+    events dropped are the start event and the process's completion
+    event, which had no callbacks.  NIC holds go through
     :class:`~repro.sim.resources.Lane`, whose one event per hold stands
     for the grant and the timeout of a ``Resource`` (see its docstring).
     """
@@ -174,7 +184,7 @@ class _Send:
         payload: Any, seq: int, request: SendRequest,
     ) -> None:
         self.comm = comm
-        self.env = env = comm.env
+        self.env = comm.env
         self.src = src
         self.dst = dst
         self.tag = tag
@@ -182,14 +192,9 @@ class _Send:
         self.payload = payload
         self.seq = seq
         self.request = request
-        # The first step runs where a process's Initialize event would:
-        # URGENT, at the current time.
-        start = Event(env)
-        start._value = None
-        start.callbacks = [self._start]
-        env.schedule(start, URGENT)
+        self._start()
 
-    def _start(self, _event: Event) -> None:  # pragma: no cover - abstract
+    def _start(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _land(self, kind: str) -> None:
@@ -216,7 +221,7 @@ class _ShortSend(_Send):
         self.delay = delay
         super().__init__(comm, src, dst, tag, nbytes, payload, seq, request)
 
-    def _start(self, _event: Event) -> None:
+    def _start(self) -> None:
         Timeout(self.env, self.delay).callbacks.append(self._arrived)
 
     def _arrived(self, _event: Event) -> None:
@@ -227,9 +232,8 @@ class _ShortSend(_Send):
 class _EagerSend(_Send):
     """Eager send: TX serialization, wire latency, RX serialization.
 
-    The steps: start (URGENT, where a process's Initialize fired) → hold
-    the sender's TX lane → wire latency → hold the receiver's RX lane →
-    land.  The sender is locally complete once its first TX hold ends
+    The steps: hold the sender's TX lane (at the call) → wire latency →
+    hold the receiver's RX lane → land.  The sender is locally complete once its first TX hold ends
     (the payload is buffered at the receiver).  With :class:`LinkFaults`
     installed a crossing may be dropped: the sender backs off, queues a
     fresh TX hold behind whatever the lane holds by then, and crosses
@@ -251,7 +255,7 @@ class _EagerSend(_Send):
         super().__init__(comm, src, dst, tag, nbytes, payload, seq, request)
 
     # -- TX: serialize on the sender's lane -----------------------------------
-    def _start(self, _event: Event) -> None:
+    def _start(self) -> None:
         self.tx_nic.tx.hold(self.hold_s).callbacks.append(self._tx_done)
 
     def _tx_done(self, _event: Event) -> None:
@@ -283,7 +287,7 @@ class _EagerSend(_Send):
 
     def _retransmit(self, _event: Event) -> None:
         self.network._count_retransmit(self.gsrc, self.gdst)
-        self._start(_event)
+        self._start()
 
     # -- RX: serialize on the receiver's lane, land ---------------------------
     def _rx_done(self, _event: Event) -> None:

@@ -7,8 +7,9 @@ single funnel), each paying: client NIC serialization → wire latency →
 server inbound channel → disk service → response latency.
 
 Each server's leg of a sync, and with ``replicas == 1`` each subrequest,
-is a :class:`_ServerRequest` callback machine rather than a process; the
-caller waits on a :class:`~repro.sim.Join` of them.  Replica chains
+is a :class:`_ServerRequest` callback machine rather than a process,
+started at the call; the caller waits on a :class:`~repro.sim.Join` of
+them, or on the lone leg of a one-server list-I/O call.  Replica chains
 (``replicas > 1``) run as one helper process per subrequest.
 
 PVFS2 characteristics modelled faithfully:
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..sim import Environment, Event, Join, Lane, SimulationError, Timeout
-from ..sim.events import URGENT
 from ..mpi.network import NetworkConfig, Nic, KIB, MIB
 from .bytestore import ByteStore
 from .disk import DiskModel
@@ -594,7 +594,7 @@ class FileSystem:
                 _ServerRequest(self, client, server, kind, chunk, nbytes)
                 for server, chunk, nbytes in subrequests
             ]
-        yield Join(self.env, *legs)
+        yield legs[0] if len(legs) == 1 else Join(self.env, *legs)
 
     # -- replicated I/O -----------------------------------------------------
     def _one_replicated_write(
@@ -768,19 +768,24 @@ class _ServerRequest(Event):
     """One server's leg of a list-I/O call or a sync, as callbacks.
 
     The client side of a ``replicas == 1`` subrequest and every per-server
-    sync leg run here instead of in a generator process.  Each step is a
-    callback on the event the process would have yielded, and every
-    ``schedule`` call happens in the order the process made it: an URGENT
-    start event where its ``Initialize`` was, the outage back-off
-    timeouts, the client TX hold (NIC stats counted after it), the wire
-    latency, the server's ``net_in`` hold (writes), the server side, the
-    ``net_out`` hold (reads), the return latency, and finally this event
-    itself, NORMAL, where the process's completion event was.  So the
-    ``(time, priority, eid)`` order and every result stay bit-identical.
+    sync leg run here instead of in a generator process.  The first step
+    (the outage check, then the client TX hold or the first back-off)
+    runs in the constructor, at the call, as every send's does (see
+    :class:`~repro.mpi.communicator._Send`).  Each later step is a
+    callback on the event the process would have yielded, scheduled in
+    the order the process scheduled it: the outage back-off timeouts, the
+    client TX hold (NIC stats counted after it), the wire latency, the
+    server's ``net_in`` hold (writes), the server side, the ``net_out``
+    hold (reads), and this event itself, NORMAL, ``latency_s`` after the
+    reply leaves.  The process's start event, the relay timeout of the
+    reply's flight and its completion event are gone; every result stays
+    bit-identical (``docs/MODELING.md`` §1).
 
     Server side: on a bare server (FIFO, no cache, no read-ahead for
-    reads) the ``disk_res`` grant, the service timeout, the accounting
-    and the release are callbacks too.  Any other stack runs
+    reads) the leg claims the :class:`~repro.pvfs.server.DiskFifo`, which
+    starts its service, priced from the head and disk model of that
+    instant, as soon as the disk is free; the service timeout, the
+    accounting and the release are callbacks too.  Any other stack runs
     :meth:`IOServer.service_write` / :meth:`IOServer.service_sync` as a
     generator stepped in place, as the process did with ``yield from``;
     an exception out of it fails this event where the process would have
@@ -789,7 +794,7 @@ class _ServerRequest(Event):
 
     __slots__ = (
         "fs", "client", "server", "kind", "regions", "nbytes", "tx_B",
-        "nic", "delay", "slot", "detail", "steps",
+        "nic", "delay", "detail", "steps",
     )
 
     def __init__(
@@ -815,19 +820,15 @@ class _ServerRequest(Event):
             header += 16 * len(regions)
             # A read sends its header only; the data comes back.
             self.tx_B = header + nbytes if kind == _WRITE else header
-        start = Event(self.env)
-        start._value = None
-        start.callbacks = [self._start]
-        self.env.schedule(start, URGENT)
+        # The first step runs at the call, so every leg and send a rank
+        # issues at one instant reaches its NIC lane in issue order.
+        if server.up:
+            self._transmit()
+        else:
+            self.delay = fs.config.retry_initial_s
+            self._back_off()
 
     # -- client: outage back-off, TX, wire ------------------------------------
-    def _start(self, _event: Event) -> None:
-        if self.server.up:
-            self._transmit()
-            return
-        self.delay = self.fs.config.retry_initial_s
-        self._back_off()
-
     def _back_off(self) -> None:
         wait = self.delay
         self.delay = self.fs._retry(wait, self.server.server_id)
@@ -866,8 +867,7 @@ class _ServerRequest(Event):
         if server.disk_queue is None and not (kind == _READ and server.readahead_B):
             if kind == _WRITE:
                 server._write_in(self.regions, self.nbytes)
-            self.slot = server.disk_res.request()
-            self.slot.callbacks.append(self._granted)
+            server.disk_fifo.claim(self._granted)
             return
         if kind == _SYNC:
             self.steps = server.service_sync()
@@ -875,7 +875,7 @@ class _ServerRequest(Event):
             self.steps = server.service_write(self.regions, is_read=kind == _READ)
         self._step(None)
 
-    def _granted(self, _event: Event) -> None:
+    def _granted(self) -> None:
         server = self.server
         if self.kind == _SYNC:
             seconds = server.disk.sync_time()
@@ -890,7 +890,7 @@ class _ServerRequest(Event):
             server._sync_serviced(event.delay)
         else:
             server._disk_serviced(self.regions, self.kind == _READ, self.detail)
-        server.disk_res.release(self.slot)
+        server.disk_fifo.release()
         self._served()
 
     def _step(self, event: Optional[Event]) -> None:
@@ -931,10 +931,6 @@ class _ServerRequest(Event):
             self._replied(None)
 
     def _replied(self, _event: Optional[Event]) -> None:
-        Timeout(self.env, self.fs.config.network.latency_s).callbacks.append(
-            self._done
-        )
-
-    def _done(self, _event: Event) -> None:
+        # The reply's flight ends the leg: no relay event in between.
         self._value = None
-        self.env.schedule(self)
+        self.env.schedule(self, delay=self.fs.config.network.latency_s)

@@ -1,7 +1,7 @@
 """Disk-queue scheduling for the PVFS2 I/O daemon model.
 
-The seed model serviced the disk through a bare FIFO
-:class:`~repro.sim.resources.Resource`; a real 2006 I/O daemon sat on top
+The seed model serviced the disk in plain arrival order (today a bare
+:class:`~repro.pvfs.server.DiskFifo`); a real 2006 I/O daemon sat on top
 of an elevator — requests waiting for the disk were *reordered* by
 physical offset so a sweep of the head serviced them with far fewer
 seeks.  This module is that layer: a :class:`DiskQueue` (a unit-capacity
@@ -102,8 +102,9 @@ def make_policy(name: str, aging_limit: int = 8) -> SchedulerPolicy:
 class DiskQueue:
     """A unit-capacity disk whose waiters are granted by a policy.
 
-    Unlike :class:`~repro.sim.resources.Resource`, the grant order is
-    decided at *release* time — the policy sees every request that
+    Unlike the arrival order of the bare
+    :class:`~repro.pvfs.server.DiskFifo`, the grant order is chosen at
+    *release* time — the policy sees every request that
     queued while the disk was busy plus the head position the finished
     request left behind, which is exactly the information the daemon's
     elevator had.

@@ -4,16 +4,16 @@ An I/O server has three contention points: an inbound network channel
 (a :class:`~repro.sim.resources.Lane` — concurrent clients serialize
 their data streams into the server), an outbound network channel (a lane
 too: read responses serialize out, mirroring the NIC's TX/RX duplex
-split), and the disk (a unit-capacity
-:class:`~repro.sim.resources.Resource`, serviced via
-:class:`~repro.pvfs.disk.DiskModel` with persistent head tracking — the
-service time depends on where the head is when the disk is granted, so
-it is not known when the request is made and the disk cannot be a
-lane).  The disk is optionally fronted by the pluggable server-side
-I/O stack: a reordering :class:`~repro.pvfs.sched.DiskQueue` (``fifo`` /
-``elevator``) and a :class:`~repro.pvfs.cache.WriteBackCache`.  With the
-default configuration (FIFO, cache off) neither is constructed and the
-request path is the seed's, event for event.
+split), and the disk, serviced via :class:`~repro.pvfs.disk.DiskModel`
+with persistent head tracking.  The service time depends on where the
+head is when the disk is granted, so it is not known when the request
+is made and the disk cannot be a lane.  A bare disk is a
+:class:`DiskFifo`: a waiter's service starts, and is priced, at the
+instant the disk frees up.  The disk is optionally fronted by the
+pluggable server-side I/O stack: a reordering
+:class:`~repro.pvfs.sched.DiskQueue` (``fifo`` / ``elevator``) and a
+:class:`~repro.pvfs.cache.WriteBackCache`.  With the default
+configuration (FIFO, cache off) neither is constructed.
 
 The metadata server serves open/create/resize ops with a fixed cost on
 one lane.
@@ -21,10 +21,11 @@ one lane.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..sim import Environment, Lane, Resource
+from ..sim import Environment, Event, Lane
 from . import extents
 from .cache import ABSORB_REGION_S, WriteBackCache
 from .disk import DiskModel, ServiceDetail
@@ -64,6 +65,51 @@ class ServerStats:
     readahead_wasted: int = 0
 
 
+class DiskFifo:
+    """A bare server's disk: capacity 1, first come first served.
+
+    ``claim(start)`` calls ``start()`` at once when the disk is free and
+    queues it otherwise; ``release()`` calls the next queued ``start()``
+    at the release instant.  So a waiter prices its service when the disk
+    is granted, from the head and disk model of that instant, without a
+    grant event.  A process fragment waits on :meth:`grant` instead, an
+    event succeeded when its claim is granted, and passes it to
+    :meth:`release` when done (or unwound, which withdraws a queued claim).
+    """
+
+    __slots__ = ("env", "busy", "_waiting")
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self.busy = False
+        self._waiting: Deque[Callable[[], object]] = deque()
+
+    def __len__(self) -> int:
+        """Claims waiting behind the one being served."""
+        return len(self._waiting)
+
+    def claim(self, start: Callable[[], object]) -> None:
+        if self.busy:
+            self._waiting.append(start)
+        else:
+            self.busy = True
+            start()
+
+    def grant(self) -> Event:
+        event = Event(self.env)
+        self.claim(event.succeed)
+        return event
+
+    def release(self, grant: Optional[Event] = None) -> None:
+        """Free the disk; a ``grant`` still queued just leaves the queue."""
+        if grant is not None and not grant.triggered:
+            self._waiting.remove(grant.succeed)
+        elif self._waiting:
+            self._waiting.popleft()()
+        else:
+            self.busy = False
+
+
 class IOServer:
     """One PVFS2 I/O daemon: network in/out + (stack +) disk."""
 
@@ -86,7 +132,7 @@ class IOServer:
         self.disk = disk
         self.net_in = Lane(env)
         self.net_out = Lane(env)
-        self.disk_res = Resource(env, capacity=1)
+        self.disk_fifo = DiskFifo(env)
         self.head_position = 0
         self.stats = ServerStats()
         self.recorder = recorder
@@ -99,8 +145,7 @@ class IOServer:
         #: rebuilt, excluded from replica chains from the kill onward.
         self.dead = False
         # The reordering queue exists only when a non-FIFO policy or the
-        # cache asks for it; otherwise the bare ``disk_res`` Resource path
-        # runs — bit-identical to the seed, zero new events.
+        # cache asks for it; otherwise the bare ``disk_fifo`` serves.
         self.disk_queue: Optional[DiskQueue] = (
             DiskQueue(env, make_policy(sched, aging_limit=sched_aging))
             if sched != "fifo" or cache_B > 0
@@ -178,7 +223,7 @@ class IOServer:
         strategy selector samples this as its server-load signal."""
         if self.disk_queue is not None:
             return self.disk_queue.depth
-        return len(self.disk_res.queue)
+        return len(self.disk_fifo)
 
     def fail(self, permanent: bool = False) -> List[Tuple[int, int]]:
         """Mark the server unreachable (an outage window — or forever).
@@ -282,21 +327,31 @@ class IOServer:
         yield self.env.timeout(detail.seconds)
         self._disk_serviced(regions, is_read, detail)
 
-    def _acquire_and_service(self, regions: List[Tuple[int, int]], is_read: bool):
-        """Process fragment: take the disk (queue or bare), then service."""
+    def _holding_disk(self, first_offset: int, service):
+        """Process fragment: run the ``service`` fragment holding the disk
+        (bare or queued); ``first_offset`` orders an elevator's grant."""
         if self.disk_queue is None:
-            with self.disk_res.request() as slot:
-                yield slot
-                yield from self._disk_service(regions, is_read)
+            grant = self.disk_fifo.grant()
+            try:
+                yield grant
+                yield from service
+            finally:
+                self.disk_fifo.release(grant)
             return
-        if self._m_enabled:
-            self._h_queue_depth.observe(float(self.disk_queue.depth))
-        first_offset = regions[0][0] if regions else self.head_position
         yield self.disk_queue.acquire(first_offset)
         try:
-            yield from self._disk_service(regions, is_read)
+            yield from service
         finally:
             self.disk_queue.release(self.head_position)
+
+    def _acquire_and_service(self, regions: List[Tuple[int, int]], is_read: bool):
+        """Process fragment: take the disk (queue or bare), then service."""
+        if self.disk_queue is not None and self._m_enabled:
+            self._h_queue_depth.observe(float(self.disk_queue.depth))
+        first_offset = regions[0][0] if regions else self.head_position
+        yield from self._holding_disk(
+            first_offset, self._disk_service(regions, is_read)
+        )
 
     def _write_in(self, regions: List[Tuple[int, int]], nbytes: int) -> None:
         """A write's ``nbytes`` in ``regions`` have crossed ``net_in``:
@@ -467,16 +522,7 @@ class IOServer:
         """
         if self.cache is not None:
             yield from self.cache.flush()
-        if self.disk_queue is None:
-            with self.disk_res.request() as slot:
-                yield slot
-                yield from self._sync_disk()
-            return
-        yield self.disk_queue.acquire(self.head_position)
-        try:
-            yield from self._sync_disk()
-        finally:
-            self.disk_queue.release(self.head_position)
+        yield from self._holding_disk(self.head_position, self._sync_disk())
 
     def _sync_disk(self):
         """Process fragment: the sync cost proper; the disk must be held."""

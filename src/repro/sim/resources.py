@@ -1,7 +1,10 @@
 """Shared-resource primitives: Resource, Lane, Store.
 
-These model contention points in the simulated system — NICs, disk heads,
-server request queues.  :class:`Resource` is the classic request/release
+These model contention points in the simulated system — NIC and server
+channels, the metadata server, the bounded fabric, the write-back
+cache's flush lock.  (A bare disk is a
+:class:`~repro.pvfs.server.DiskFifo`: its service is priced when it is
+granted.)  :class:`Resource` is the classic request/release
 slot pool: a request is an event that a process yields, and it works
 as a context manager for exception-safe release.  :class:`Lane` is
 the cheaper special case the model's serial channels need: FIFO,
@@ -149,9 +152,10 @@ class Lane:
     A hold cannot be cancelled or cut short.  A process interrupted while
     it waits on a hold stops waiting, but the hold still occupies the
     lane to its end (a ``Resource`` would free the slot at once).  The
-    simulator never interrupts a process that holds a lane: the fault
-    injector interrupts only worker processes, and their lane traffic runs
-    in callback state machines and helper processes.
+    simulator never interrupts a process that waits on a hold: the fault
+    injector interrupts only worker processes, and the holds a worker's
+    sends and PVFS legs issue at its call are waited on by callback state
+    machines and helper processes.
     """
 
     __slots__ = ("env", "_busy", "_waiting")

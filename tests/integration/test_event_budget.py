@@ -1,0 +1,150 @@
+"""Kernel-event budget of the hottest simulated operations, and the
+issue order that lets them start at their call.
+
+Each budget case runs one operation on an otherwise idle model and counts the
+events ``Environment.step`` processes until the queue drains.  The counts
+are exact: a change that adds an event back to one of these operations
+fails here, not only in the benchmark's traced ``sim.events``.
+
+No process drives the operations (a driving process would add its own
+``Initialize`` and completion events): sends are issued and receives
+posted from the test itself, and the PVFS fragments are stepped by hand
+to the event they wait on.
+"""
+
+from __future__ import annotations
+
+from repro.mpi import MpiWorld, NetworkConfig
+from repro.pvfs import FileSystem, PVFSConfig
+from repro.sim import Environment, Lane
+
+KIB = 1024
+
+
+def drain(env: Environment) -> int:
+    """Run ``env`` until its queue is empty; return the events processed."""
+    processed = 0
+    step = env.step
+
+    def counting_step() -> None:
+        nonlocal processed
+        step()
+        processed += 1
+
+    env.step = counting_step  # type: ignore[method-assign]
+    env.run()
+    return processed
+
+
+def world() -> MpiWorld:
+    return MpiWorld(nranks=2, network=NetworkConfig.myrinet2000())
+
+
+def created(fs: FileSystem):
+    """A new file, opened before any operation is counted."""
+    fs.env.process(fs.open(0, "f"))
+    fs.env.run()
+    return fs.lookup("f")
+
+
+def wait_on(env: Environment, fragment) -> int:
+    """Step a process fragment to the one event it waits on, drain the
+    queue and check the fragment then finishes."""
+    target = next(fragment)
+    events = drain(env)
+    assert target.processed and target.ok
+    try:
+        fragment.send(target.value)
+    except StopIteration:
+        return events
+    raise AssertionError("the fragment waited on a second event")
+
+
+def test_lone_eager_send():
+    """TX hold, send completion, wire latency, RX hold."""
+    w = world()
+    request = w.comm.view(0).isend(1, tag=1, nbytes=1 * KIB)
+    assert drain(w.env) == 4
+    assert request.completed
+    assert w.comm.mailboxes[1].probe(0, 1) is not None
+
+
+def test_rendezvous_send():
+    """The protocol process's ``Initialize``; RTS: TX hold, wire, RX hold;
+    CTS, its flight; payload: TX hold, wire, RX hold; send completion,
+    payload handoff, the process's completion, receive completion."""
+    w = world()
+    nbytes = 4 * w.config.eager_threshold_B
+    receive = w.comm.view(1).irecv(source=0, tag=1)
+    send = w.comm.view(0).isend(1, tag=1, nbytes=nbytes, payload="big")
+    assert drain(w.env) == 13
+    assert send.completed and receive.completed
+    assert receive.status.nbytes == nbytes
+
+
+def test_bare_single_server_write_list():
+    """Client TX hold, wire, ``net_in`` hold, disk service, and the leg,
+    which completes at the end of the reply's flight; the caller waits
+    on the leg itself."""
+    env = Environment()
+    fs = FileSystem(env, PVFSConfig(nservers=1))
+    file = created(fs)
+    events = wait_on(env, fs.write_list(0, file, [(0, 4 * KIB)]))
+    assert events == 5
+    assert fs.servers[0].stats.bytes_written == 4 * KIB
+
+
+def test_sync_on_two_servers():
+    """Per leg: client TX hold, wire, disk service, the leg; then the
+    ``Join`` of the two legs."""
+    env = Environment()
+    fs = FileSystem(env, PVFSConfig(nservers=2))
+    file = created(fs)
+    assert wait_on(env, fs.sync(0, file)) == 9
+    assert fs.total_syncs() == 2
+
+
+
+def test_one_rank_reaches_its_nic_in_issue_order(monkeypatch):
+    """Sends and PVFS legs run their first step at the call, so at one
+    instant a rank's rendezvous RTS, eager payload and PVFS write hold
+    its NIC's TX lane in the order the rank issued them.  Were only some
+    of them started at the call, those would jump ahead of operations
+    issued earlier (and the benchmark digests would move)."""
+    w = world()
+    env = w.env
+    config = w.config
+    fs = FileSystem(env, PVFSConfig(nservers=1), client_nic=w.network.nic)
+    file = created(fs)
+    tx = w.network.nic(0).tx
+    ended = []
+    hold = Lane.hold
+
+    def spying_hold(self, seconds):
+        done = hold(self, seconds)
+        if self is tx:
+            done.callbacks.append(lambda _e: ended.append((env.now, seconds)))
+        return done
+
+    monkeypatch.setattr(Lane, "hold", spying_hold)
+
+    issued = []
+
+    def rank0():
+        yield env.timeout(1.0)
+        issued.append(env.now)
+        comm = w.comm.view(0)
+        comm.isend(1, tag=1, nbytes=4 * config.eager_threshold_B)
+        comm.isend(1, tag=2, nbytes=1 * KIB)
+        yield from fs.write(0, file, 0, 4 * KIB)
+
+    env.process(rank0())
+    env.run()
+    rts_s = config.serialization_time(64) + config.cpu_overhead_s
+    eager_s = config.serialization_time(1 * KIB) + config.cpu_overhead_s
+    pvfs_B = fs.config.request_header_B + 16 + 4 * KIB
+    pvfs_s = pvfs_B / fs.config.client_pipeline_Bps + config.cpu_overhead_s
+    assert [seconds for _, seconds in ended] == [rts_s, eager_s, pvfs_s]
+    assert [at for at, _ in ended] == sorted(at for at, _ in ended)
+    # Back to back from the instant of issue: the lane was idle.
+    assert ended[-1][0] == issued[0] + rts_s + eager_s + pvfs_s

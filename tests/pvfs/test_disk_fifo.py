@@ -1,0 +1,128 @@
+"""A bare server's disk (:class:`~repro.pvfs.server.DiskFifo`) prices a
+waiting leg when the disk is granted, not when the leg queued.
+
+Two writes meet on a one-server bare volume: a long one (``A``) holds the
+disk while a small one (``B``) waits for it.  A degraded window opened,
+or an outage ended, while ``B`` waits must show in ``B``'s service:
+the degraded disk model, or a head rehomed to 0.
+"""
+
+from __future__ import annotations
+
+from repro.pvfs import DiskModel, FileSystem, IOServer, PVFSConfig
+from repro.sim import Environment, Interrupt
+
+KIB = 1024
+MIB = 1024 * KIB
+A_B = 4 * MIB
+B_B = 4 * KIB
+
+
+def two_writes(b_offset: int, while_b_waits):
+    """Client 0 writes ``A_B`` bytes at 0; once ``A`` holds the disk,
+    client 1 writes ``B_B`` bytes at ``b_offset`` to another file, and
+    ``while_b_waits(fs)`` runs while ``B`` is queued behind ``A``."""
+    env = Environment()
+    fs = FileSystem(env, PVFSConfig(nservers=1))
+    server = fs.servers[0]
+    seen = []
+
+    def client_a():
+        file = yield from fs.open(0, "a")
+        yield from fs.write(0, file, 0, A_B)
+
+    def client_b():
+        file = yield from fs.open(1, "b")
+        while not server.disk_fifo.busy:
+            yield env.timeout(1e-3)
+        yield from fs.write(1, file, b_offset, B_B)
+
+    def window():
+        while not len(server.disk_fifo):
+            yield env.timeout(1e-4)
+        seen.append((server.disk_fifo.busy, len(server.disk_fifo)))
+        while_b_waits(fs)
+
+    env.process(client_a())
+    env.process(client_b())
+    env.process(window())
+    env.run()
+    assert seen == [(True, 1)], "B never waited behind A"
+    assert server.stats.requests == 2
+    return server
+
+
+def a_regions():
+    """``A``'s physical regions on the one server: one per strip."""
+    layout = PVFSConfig(nservers=1).layout()
+    return sorted(layout.map_regions([(0, A_B)])[0])
+
+
+def test_a_window_opened_while_waiting_prices_the_grant():
+    pristine = DiskModel()
+    server = two_writes(64 * MIB, lambda fs: fs.set_degraded(0, 4.0))
+    degraded = server.disk
+    assert degraded.seek_penalty_s == 4.0 * pristine.seek_penalty_s
+    a_s = pristine.service_detail(a_regions(), 0).seconds
+    b_region = [(64 * MIB, B_B)]
+    b_degraded = degraded.service_detail(b_region, A_B).seconds
+    b_pristine = pristine.service_detail(b_region, A_B).seconds
+    assert b_degraded > b_pristine
+    assert server.stats.busy_s == a_s + b_degraded
+
+
+def test_a_restore_while_waiting_rehomes_the_head():
+    def outage(fs):
+        fs.fail_server(0)
+        fs.restore_server(0)
+
+    server = two_writes(0, outage)
+    disk = server.disk
+    # From head 0, B's write at 0 streams; from A's end it would seek.
+    assert disk.service_detail([(0, B_B)], A_B).seeks == 1
+    assert server.stats.seeks == 0
+    assert server.stats.busy_s == (
+        disk.service_detail(a_regions(), 0).seconds
+        + disk.service_detail([(0, B_B)], 0).seconds
+    )
+    assert server.stats.outages == 1
+
+
+def test_a_waiter_that_unwinds_leaves_the_fifo():
+    """A process interrupted while it waits for the disk withdraws its
+    claim: the holder keeps the disk, then hands it to the next waiter,
+    and the disk ends idle."""
+    env = Environment()
+    server = IOServer(env, 0, DiskModel())
+    served = []
+
+    def writer(name, offset):
+        try:
+            yield from server.service_write([(offset, 64 * KIB)])
+        except Interrupt:
+            served.append((name, "unwound", env.now))
+            return
+        served.append((name, "served", env.now))
+
+    env.process(writer("holder", 0))
+    env.process(writer("next", 2 * MIB))
+    quitter = env.process(writer("quitter", 1 * MIB))
+
+    def interrupter():
+        yield env.timeout(1e-3)
+        assert len(server.disk_fifo) == 2
+        quitter.interrupt()
+        yield env.timeout(0)
+        assert len(server.disk_fifo) == 1
+
+    env.process(interrupter())
+    env.run()
+    disk = server.disk
+    holder_s = disk.service_detail([(0, 64 * KIB)], 0).seconds
+    next_s = disk.service_detail([(2 * MIB, 64 * KIB)], 64 * KIB).seconds
+    assert served == [
+        ("quitter", "unwound", 1e-3),
+        ("holder", "served", holder_s),
+        ("next", "served", holder_s + next_s),
+    ]
+    assert not server.disk_fifo.busy and not len(server.disk_fifo)

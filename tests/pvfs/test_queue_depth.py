@@ -35,8 +35,8 @@ class TestQueueDepth:
         for i in range(3):
             env.process(writer(server, i * 128 * KIB))
         env.run(until=1e-9)
-        # One request holds the Resource slot; the rest wait in its queue.
-        assert server.queue_depth() == len(server.disk_res.queue) == 2
+        # One request holds the bare disk; the rest wait in its FIFO.
+        assert server.queue_depth() == len(server.disk_fifo) == 2
 
     def test_depth_drains_back_to_zero(self):
         env = Environment()

@@ -262,22 +262,11 @@ class TestInterruptedHolder:
         self, monkeypatch, strategy, scenario
     ):
         """The documented difference never matters: a worker crash is the
-        only interrupt, and worker processes never hold a lane themselves
-        (sends are callback machines, file I/O runs in callback machines
-        or helper processes)."""
-        holders, interrupted = set(), []
-        hold, interrupt = Lane.hold, Process.interrupt
-
-        def recording_hold(self, seconds):
-            holders.add(self.env.active_process)
-            return hold(self, seconds)
-
-        def recording_interrupt(self, cause=None):
-            interrupted.append(self)
-            return interrupt(self, cause)
-
-        monkeypatch.setattr(Lane, "hold", recording_hold)
-        monkeypatch.setattr(Process, "interrupt", recording_interrupt)
+        only interrupt, and worker processes never wait on a lane hold
+        themselves (sends and PVFS legs issue their holds in the worker's
+        step but wait in callback machines, replica chains in helper
+        processes)."""
+        spy = HoldSpy(monkeypatch)
         plan = FaultPlan.standard(crash_rank=1, crash_time=6.0, downtime_s=2.0)
         cfg = SimulationConfig(
             strategy=strategy, fault_plan=plan, nprocs=4, nqueries=4, nfragments=8,
@@ -286,6 +275,50 @@ class TestInterruptedHolder:
             cfg = get_scenario(scenario, cfg)
         result = S3aSim(cfg).run()
         assert result.fault_stats["crashes"] == 1
-        assert interrupted
-        assert holders, "the spy saw no lane hold"
-        assert not holders.intersection(interrupted)
+        assert spy.interrupted
+        assert spy.dones, "the spy saw no lane hold"
+        assert not spy.caught
+
+    def test_spy_catches_a_worker_waiting_on_its_own_hold(self, monkeypatch):
+        """Negative control: a rank process that yields its NIC's TX hold
+        itself and is interrupted there is caught."""
+        spy = HoldSpy(monkeypatch)
+        world = MpiWorld(2, NetworkConfig.myrinet2000())
+        env = world.env
+
+        def main(comm):
+            if comm.rank == 1:
+                try:
+                    yield comm.network.nic(1).tx.hold(10.0)
+                except Interrupt:
+                    pass
+            else:
+                yield env.timeout(3.0)
+                world.rank_procs[1].interrupt("crash")
+
+        world.spawn_all(main)
+        world.run()
+        assert spy.caught == [world.rank_procs[1]]
+
+
+class HoldSpy:
+    """Records the done event of every ``Lane.hold`` and every process
+    interrupted while it waits on one of them (``caught``)."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.dones, self.interrupted, self.caught = set(), [], []
+        hold, interrupt = Lane.hold, Process.interrupt
+
+        def recording_hold(lane, seconds):
+            done = hold(lane, seconds)
+            self.dones.add(done)
+            return done
+
+        def recording_interrupt(process, cause=None):
+            self.interrupted.append(process)
+            if process._target in self.dones:
+                self.caught.append(process)
+            return interrupt(process, cause)
+
+        monkeypatch.setattr(Lane, "hold", recording_hold)
+        monkeypatch.setattr(Process, "interrupt", recording_interrupt)
