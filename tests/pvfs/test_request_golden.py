@@ -51,6 +51,7 @@ STACKS = {
     "fifo": dict(),
     "fifo-readahead": dict(readahead_B=128 * KIB),
     "elevator": dict(disk_sched="elevator"),
+    "fifo-cache": dict(server_cache_B=64 * KIB),
     "elevator-cache-readahead": dict(
         disk_sched="elevator", server_cache_B=64 * KIB, readahead_B=128 * KIB
     ),
