@@ -331,11 +331,6 @@ class SimulationConfig:
         """A copy with the given fields replaced."""
         return replace(self, **kwargs)
 
-    @classmethod
-    def paper_setup(cls, nprocs: int, strategy: str, **kwargs) -> "SimulationConfig":
-        """The Section 3.3 configuration at the given scale."""
-        return cls(nprocs=nprocs, strategy=strategy, **kwargs)
-
 
 @dataclass(frozen=True)
 class Workload:

@@ -18,7 +18,6 @@ from .collectives import (
     scatterv,
 )
 from .communicator import Communicator, RankComm
-from .compat import CompatComm, CompatRequest, File as CompatFile
 from .constants import ANY_SOURCE, ANY_TAG, collective_tag
 from .mailbox import Mailbox
 from .message import Envelope, Status
@@ -30,9 +29,6 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "Communicator",
-    "CompatComm",
-    "CompatFile",
-    "CompatRequest",
     "Envelope",
     "KIB",
     "MIB",

@@ -6,13 +6,7 @@ from .disk import DiskModel
 from .filesystem import FileSystem, PVFSConfig, PVFSFile
 from .layout import REPLICA_SLOT_B, Region, StripingLayout
 from .replica import MissedLedger
-from .sched import (
-    SCHEDULERS,
-    DiskQueue,
-    ElevatorPolicy,
-    FifoPolicy,
-    make_policy,
-)
+from .sched import SCHEDULERS, DiskQueue, ElevatorPolicy
 from .server import IOServer, MetadataServer, ServerStats
 
 __all__ = [
@@ -20,7 +14,6 @@ __all__ = [
     "DiskModel",
     "DiskQueue",
     "ElevatorPolicy",
-    "FifoPolicy",
     "FileSystem",
     "IOServer",
     "MetadataServer",
@@ -34,6 +27,5 @@ __all__ = [
     "ServerStats",
     "StripingLayout",
     "WriteBackCache",
-    "make_policy",
     "merge_extents",
 ]

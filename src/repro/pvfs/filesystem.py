@@ -781,9 +781,9 @@ class _ServerRequest(Event):
     reply's flight and its completion event are gone; every result stays
     bit-identical (``docs/MODELING.md`` §1).
 
-    Server side: on a bare server (FIFO, no cache, no read-ahead for
-    reads) the leg claims the :class:`~repro.pvfs.server.DiskFifo`, which
-    starts its service, priced from the head and disk model of that
+    Server side: on a bare server (FIFO, no cache) a leg other than a
+    read-ahead read claims the :class:`~repro.pvfs.sched.DiskQueue`,
+    which starts its service, priced from the head and disk model of that
     instant, as soon as the disk is free; the service timeout, the
     accounting and the release are callbacks too.  Any other stack runs
     :meth:`IOServer.service_write` / :meth:`IOServer.service_sync` as a
@@ -863,11 +863,10 @@ class _ServerRequest(Event):
     def _serve(self, _event: Event) -> None:
         server = self.server
         kind = self.kind
-        # A cache implies a disk queue, so this is "FIFO and no cache".
-        if server.disk_queue is None and not (kind == _READ and server.readahead_B):
+        if server.bare and not (kind == _READ and server.readahead_B):
             if kind == _WRITE:
                 server._write_in(self.regions, self.nbytes)
-            server.disk_fifo.claim(self._granted)
+            server.disk_queue.claim(self._granted)
             return
         if kind == _SYNC:
             self.steps = server.service_sync()
@@ -890,7 +889,7 @@ class _ServerRequest(Event):
             server._sync_serviced(event.delay)
         else:
             server._disk_serviced(self.regions, self.kind == _READ, self.detail)
-        server.disk_fifo.release()
+        server.disk_queue.release(server.head_position)
         self._served()
 
     def _step(self, event: Optional[Event]) -> None:

@@ -1,15 +1,14 @@
-"""Disk-queue scheduling for the PVFS2 I/O daemon model.
+"""The disk of a PVFS2 I/O daemon and its optional elevator.
 
-The seed model serviced the disk in plain arrival order (today a bare
-:class:`~repro.pvfs.server.DiskFifo`); a real 2006 I/O daemon sat on top
-of an elevator — requests waiting for the disk were *reordered* by
-physical offset so a sweep of the head serviced them with far fewer
-seeks.  This module is that layer: a :class:`DiskQueue` (a unit-capacity
-disk whose wait queue is granted by a pluggable policy) and two policies:
+Every I/O server has one :class:`DiskQueue`: a unit-capacity disk whose
+waiters are served in arrival order, as the seed model's daemon served
+them, unless an :class:`ElevatorPolicy` reorders them.  A real 2006 I/O
+daemon sat on top of an elevator: requests waiting for the disk were
+*reordered* by physical offset so a sweep of the head serviced them with
+far fewer seeks.  ``PVFSConfig.disk_sched`` picks one of:
 
 ``fifo``
-    Arrival order — exactly the seed behaviour.  The default; with it the
-    queue is never even constructed, so default runs stay bit-identical.
+    Arrival order, exactly the seed behaviour.  The default.
 
 ``elevator``
     Starvation-bounded C-SCAN: pick the waiting request with the lowest
@@ -29,50 +28,29 @@ still waiting when it becomes overdue — the property test in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..sim import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Environment
 
-#: Scheduler names accepted by :func:`make_policy` / ``PVFSConfig.disk_sched``.
+#: Scheduler names accepted by ``PVFSConfig.disk_sched``.
 SCHEDULERS = ("fifo", "elevator")
 
 
 @dataclass
 class QueuedRequest:
-    """One request waiting for the disk."""
+    """One claim waiting for the disk."""
 
     offset: int  #: first physical offset — the sort key of the elevator
     order: int  #: arrival sequence number (FIFO tiebreak + overdue order)
-    event: Event  #: succeeds when the disk is granted
+    start: Callable[[], object]  #: called when the disk is granted
     passes: int = 0  #: times another request was granted ahead of this one
 
 
-class SchedulerPolicy:
-    """Chooses which waiting request the freed disk services next."""
-
-    name = "?"
-
-    def select(self, waiting: Sequence[QueuedRequest], head: int) -> int:
-        """Index into ``waiting`` of the next request to grant."""
-        raise NotImplementedError
-
-
-class FifoPolicy(SchedulerPolicy):
-    """Arrival order — the seed daemon's (non-)policy."""
-
-    name = "fifo"
-
-    def select(self, waiting: Sequence[QueuedRequest], head: int) -> int:
-        return min(range(len(waiting)), key=lambda i: waiting[i].order)
-
-
-class ElevatorPolicy(SchedulerPolicy):
+class ElevatorPolicy:
     """Starvation-bounded C-SCAN over physical offsets."""
-
-    name = "elevator"
 
     def __init__(self, aging_limit: int = 8) -> None:
         if aging_limit < 1:
@@ -80,6 +58,7 @@ class ElevatorPolicy(SchedulerPolicy):
         self.aging_limit = aging_limit
 
     def select(self, waiting: Sequence[QueuedRequest], head: int) -> int:
+        """Index into ``waiting`` of the next request to grant."""
         overdue = [
             i for i, w in enumerate(waiting) if w.passes >= self.aging_limit
         ]
@@ -90,79 +69,88 @@ class ElevatorPolicy(SchedulerPolicy):
         return min(pool, key=lambda i: (waiting[i].offset, waiting[i].order))
 
 
-def make_policy(name: str, aging_limit: int = 8) -> SchedulerPolicy:
-    """Build the policy for a ``disk_sched`` config value."""
-    if name == "fifo":
-        return FifoPolicy()
-    if name == "elevator":
-        return ElevatorPolicy(aging_limit=aging_limit)
-    raise ValueError(f"unknown disk scheduler {name!r}; choose from {SCHEDULERS}")
-
-
 class DiskQueue:
-    """A unit-capacity disk whose waiters are granted by a policy.
+    """A server's disk: capacity 1, waiters granted in arrival order or by
+    an ``elevator``.
 
-    Unlike the arrival order of the bare
-    :class:`~repro.pvfs.server.DiskFifo`, the grant order is chosen at
-    *release* time — the policy sees every request that
-    queued while the disk was busy plus the head position the finished
-    request left behind, which is exactly the information the daemon's
-    elevator had.
+    ``claim(start, offset)`` calls ``start()`` at once when the disk is
+    free and queues it otherwise; ``release(head)`` grants a waiter at
+    the release instant.  So a waiter prices its service when the disk is
+    granted, from the head and disk model of that instant, without a
+    grant event.  The elevator chooses at release time too: it sees every
+    request that queued while the disk was busy plus the head position the
+    finished request left behind, which is exactly the information the
+    daemon's elevator had.
 
-    Usage from a process fragment::
+    A process fragment waits on :meth:`grant` instead, an event succeeded
+    when its claim is granted, and passes it to :meth:`release`::
 
-        yield queue.acquire(first_offset)
+        grant = queue.grant(first_offset)
         try:
+            yield grant
             ... service, updating head ...
         finally:
-            queue.release(new_head)
+            queue.release(new_head, grant)
+
+    A fragment that unwinds while its grant is still queued withdraws it.
     """
 
-    def __init__(self, env: "Environment", policy: SchedulerPolicy) -> None:
+    def __init__(
+        self, env: "Environment", elevator: Optional[ElevatorPolicy] = None
+    ) -> None:
         self.env = env
-        self.policy = policy
+        self.elevator = elevator
         self.waiting: List[QueuedRequest] = []
         self.busy = False
         self._order = 0
-        #: Longest wait-queue observed (depth histogram feeds from callers).
-        self.max_waiting = 0
 
     def __repr__(self) -> str:
+        name = "fifo" if self.elevator is None else "elevator"
         state = "busy" if self.busy else "idle"
-        return f"<DiskQueue {self.policy.name} {state} waiting={len(self.waiting)}>"
+        return f"<DiskQueue {name} {state} waiting={len(self.waiting)}>"
 
     @property
     def depth(self) -> int:
         """Requests in the system (waiting + in service)."""
         return len(self.waiting) + (1 if self.busy else 0)
 
-    def acquire(self, offset: int) -> Event:
-        """Request the disk for a run starting at physical ``offset``."""
-        event = Event(self.env)
-        if not self.busy:
-            self.busy = True
-            event.succeed()
-        else:
+    def claim(self, start: Callable[[], object], offset: int = 0) -> None:
+        """Call ``start()`` once the disk is granted to a run starting at
+        physical ``offset``."""
+        if self.busy:
             self._order += 1
-            self.waiting.append(
-                QueuedRequest(offset=int(offset), order=self._order, event=event)
-            )
-            if len(self.waiting) > self.max_waiting:
-                self.max_waiting = len(self.waiting)
+            self.waiting.append(QueuedRequest(offset, self._order, start))
+        else:
+            self.busy = True
+            start()
+
+    def grant(self, offset: int = 0) -> Event:
+        """An event succeeded once the disk is granted (see :meth:`claim`)."""
+        event = Event(self.env)
+        self.claim(event.succeed, offset)
         return event
 
-    def release(self, head: int) -> None:
-        """Finish service at ``head`` and grant the policy's next choice."""
-        if not self.busy:
-            raise SimulationError("DiskQueue.release without a matching acquire")
-        if not self.waiting:
+    def release(self, head: int, grant: Optional[Event] = None) -> None:
+        """Finish service at ``head`` and grant the next waiter; a ``grant``
+        still queued just leaves the queue."""
+        waiting = self.waiting
+        if grant is not None and not grant.triggered:
+            start = grant.succeed
+            for index, waiter in enumerate(waiting):
+                if waiter.start == start:
+                    del waiting[index]
+                    return
+        if not waiting:
+            if not self.busy:
+                raise SimulationError("DiskQueue.release without a matching claim")
             self.busy = False
-            return
-        index = self.policy.select(self.waiting, head)
-        chosen = self.waiting.pop(index)
-        for waiter in self.waiting:
-            waiter.passes += 1
-        chosen.event.succeed()
+        elif self.elevator is None:
+            waiting.pop(0).start()
+        else:
+            chosen = waiting.pop(self.elevator.select(waiting, head))
+            for waiter in waiting:
+                waiter.passes += 1
+            chosen.start()
 
     def reset(self) -> None:
         """Forget pre-restart scheduling state (daemon restart).

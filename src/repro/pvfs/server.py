@@ -7,13 +7,12 @@ too: read responses serialize out, mirroring the NIC's TX/RX duplex
 split), and the disk, serviced via :class:`~repro.pvfs.disk.DiskModel`
 with persistent head tracking.  The service time depends on where the
 head is when the disk is granted, so it is not known when the request
-is made and the disk cannot be a lane.  A bare disk is a
-:class:`DiskFifo`: a waiter's service starts, and is priced, at the
-instant the disk frees up.  The disk is optionally fronted by the
-pluggable server-side I/O stack: a reordering
-:class:`~repro.pvfs.sched.DiskQueue` (``fifo`` / ``elevator``) and a
-:class:`~repro.pvfs.cache.WriteBackCache`.  With the default
-configuration (FIFO, cache off) neither is constructed.
+is made and the disk cannot be a lane.  The disk is a
+:class:`~repro.pvfs.sched.DiskQueue`: a waiter's service starts, and is
+priced, at the instant the disk frees up, in arrival order or in the
+order of an optional elevator.  A
+:class:`~repro.pvfs.cache.WriteBackCache` optionally fronts it.  A
+*bare* server (FIFO, cache off) is the default configuration.
 
 The metadata server serves open/create/resize ops with a fixed cost on
 one lane.
@@ -21,15 +20,14 @@ one lane.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import Environment, Event, Lane
 from . import extents
 from .cache import ABSORB_REGION_S, WriteBackCache
 from .disk import DiskModel, ServiceDetail
-from .sched import DiskQueue, make_policy
+from .sched import SCHEDULERS, DiskQueue, ElevatorPolicy
 
 MIB = 1024 * 1024
 
@@ -65,53 +63,8 @@ class ServerStats:
     readahead_wasted: int = 0
 
 
-class DiskFifo:
-    """A bare server's disk: capacity 1, first come first served.
-
-    ``claim(start)`` calls ``start()`` at once when the disk is free and
-    queues it otherwise; ``release()`` calls the next queued ``start()``
-    at the release instant.  So a waiter prices its service when the disk
-    is granted, from the head and disk model of that instant, without a
-    grant event.  A process fragment waits on :meth:`grant` instead, an
-    event succeeded when its claim is granted, and passes it to
-    :meth:`release` when done (or unwound, which withdraws a queued claim).
-    """
-
-    __slots__ = ("env", "busy", "_waiting")
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.busy = False
-        self._waiting: Deque[Callable[[], object]] = deque()
-
-    def __len__(self) -> int:
-        """Claims waiting behind the one being served."""
-        return len(self._waiting)
-
-    def claim(self, start: Callable[[], object]) -> None:
-        if self.busy:
-            self._waiting.append(start)
-        else:
-            self.busy = True
-            start()
-
-    def grant(self) -> Event:
-        event = Event(self.env)
-        self.claim(event.succeed)
-        return event
-
-    def release(self, grant: Optional[Event] = None) -> None:
-        """Free the disk; a ``grant`` still queued just leaves the queue."""
-        if grant is not None and not grant.triggered:
-            self._waiting.remove(grant.succeed)
-        elif self._waiting:
-            self._waiting.popleft()()
-        else:
-            self.busy = False
-
-
 class IOServer:
-    """One PVFS2 I/O daemon: network in/out + (stack +) disk."""
+    """One PVFS2 I/O daemon: network in/out + (cache +) disk queue."""
 
     def __init__(
         self,
@@ -132,7 +85,13 @@ class IOServer:
         self.disk = disk
         self.net_in = Lane(env)
         self.net_out = Lane(env)
-        self.disk_fifo = DiskFifo(env)
+        if sched not in SCHEDULERS:
+            raise ValueError(
+                f"unknown disk scheduler {sched!r}; choose from {SCHEDULERS}"
+            )
+        self.disk_queue = DiskQueue(
+            env, ElevatorPolicy(sched_aging) if sched == "elevator" else None
+        )
         self.head_position = 0
         self.stats = ServerStats()
         self.recorder = recorder
@@ -144,13 +103,6 @@ class IOServer:
         #: Permanently killed (``ServerKill`` fault): never restored, never
         #: rebuilt, excluded from replica chains from the kill onward.
         self.dead = False
-        # The reordering queue exists only when a non-FIFO policy or the
-        # cache asks for it; otherwise the bare ``disk_fifo`` serves.
-        self.disk_queue: Optional[DiskQueue] = (
-            DiskQueue(env, make_policy(sched, aging_limit=sched_aging))
-            if sched != "fifo" or cache_B > 0
-            else None
-        )
         self.cache: Optional[WriteBackCache] = (
             WriteBackCache(
                 self,
@@ -162,6 +114,10 @@ class IOServer:
             if cache_B > 0
             else None
         )
+        #: FIFO and no cache: the request path's callback fast path serves
+        #: such a server (``_ServerRequest``), its load signal counts
+        #: waiting claims only, and it observes no queue-depth histogram.
+        self.bare = self.disk_queue.elevator is None and self.cache is None
         # Sequential-detection read-ahead (off at 0 — zero new events, the
         # seed's request path exactly).  ``_ra_runs`` holds the *clean*
         # prefetched extents as extent runs (see ``pvfs/extents.py``); they
@@ -220,10 +176,11 @@ class IOServer:
         """Live gauge: disk requests waiting at this server right now.
 
         Reads the queue length without disturbing it — the adaptive
-        strategy selector samples this as its server-load signal."""
-        if self.disk_queue is not None:
-            return self.disk_queue.depth
-        return len(self.disk_fifo)
+        strategy selector samples this as its server-load signal.  A
+        stacked server counts the request in service too."""
+        if self.bare:
+            return len(self.disk_queue.waiting)
+        return self.disk_queue.depth
 
     def fail(self, permanent: bool = False) -> List[Tuple[int, int]]:
         """Mark the server unreachable (an outage window — or forever).
@@ -277,8 +234,7 @@ class IOServer:
         self.up = True
         self.head_position = 0
         self._ra_next = 0
-        if self.disk_queue is not None:
-            self.disk_queue.reset()
+        self.disk_queue.reset()
 
     def _disk_begin(self, regions: List[Tuple[int, int]]) -> ServiceDetail:
         """Price ``regions`` from the current head and move the head there;
@@ -328,25 +284,18 @@ class IOServer:
         self._disk_serviced(regions, is_read, detail)
 
     def _holding_disk(self, first_offset: int, service):
-        """Process fragment: run the ``service`` fragment holding the disk
-        (bare or queued); ``first_offset`` orders an elevator's grant."""
-        if self.disk_queue is None:
-            grant = self.disk_fifo.grant()
-            try:
-                yield grant
-                yield from service
-            finally:
-                self.disk_fifo.release(grant)
-            return
-        yield self.disk_queue.acquire(first_offset)
+        """Process fragment: run the ``service`` fragment holding the disk;
+        ``first_offset`` orders an elevator's grant."""
+        grant = self.disk_queue.grant(first_offset)
         try:
+            yield grant
             yield from service
         finally:
-            self.disk_queue.release(self.head_position)
+            self.disk_queue.release(self.head_position, grant)
 
     def _acquire_and_service(self, regions: List[Tuple[int, int]], is_read: bool):
-        """Process fragment: take the disk (queue or bare), then service."""
-        if self.disk_queue is not None and self._m_enabled:
+        """Process fragment: take the disk, then service."""
+        if self._m_enabled and not self.bare:
             self._h_queue_depth.observe(float(self.disk_queue.depth))
         first_offset = regions[0][0] if regions else self.head_position
         yield from self._holding_disk(

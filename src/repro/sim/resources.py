@@ -2,8 +2,8 @@
 
 These model contention points in the simulated system — NIC and server
 channels, the metadata server, the bounded fabric, the write-back
-cache's flush lock.  (A bare disk is a
-:class:`~repro.pvfs.server.DiskFifo`: its service is priced when it is
+cache's flush lock.  (A server's disk is a
+:class:`~repro.pvfs.sched.DiskQueue`: its service is priced when it is
 granted.)  :class:`Resource` is the classic request/release
 slot pool: a request is an event that a process yields, and it works
 as a context manager for exception-safe release.  :class:`Lane` is

@@ -83,6 +83,3 @@ class FragmentedDatabase:
         """Lengths of the database sequences matched by ``count`` results."""
         rng = self._streams.stream("seqlen", query_id, fragment_id)
         return self.histogram.sample(rng, count)
-
-    def mean_sequence_length(self) -> float:
-        return self.histogram.mean()

@@ -93,9 +93,6 @@ class BoxHistogram:
         box_idx = self._cdf.searchsorted(rng.random(count), side="right")
         return rng.integers(self._lows[box_idx], self._ends[box_idx], dtype=np.int64)
 
-    def sample_one(self, rng: np.random.Generator) -> int:
-        return int(self.sample(rng, 1)[0])
-
     def truncated(self, max_size: int) -> "BoxHistogram":
         """The histogram restricted to sizes ≤ ``max_size``.
 

@@ -42,6 +42,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             PVFSConfig(disk_sched="deadline")
         with pytest.raises(ValueError):
+            IOServer(Environment(), 0, DiskModel(), sched="deadline")
+        with pytest.raises(ValueError):
             PVFSConfig(elevator_aging=0)
         with pytest.raises(ValueError):
             PVFSConfig(server_cache_B=-1)
@@ -53,7 +55,7 @@ class TestValidation:
     def test_default_config_builds_no_stack(self):
         env = Environment()
         server = IOServer(env, 0, DiskModel())
-        assert server.disk_queue is None
+        assert server.disk_queue.elevator is None
         assert server.cache is None
 
 

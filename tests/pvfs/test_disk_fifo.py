@@ -1,4 +1,4 @@
-"""A bare server's disk (:class:`~repro.pvfs.server.DiskFifo`) prices a
+"""A server's disk (:class:`~repro.pvfs.sched.DiskQueue`) prices a
 waiting leg when the disk is granted, not when the leg queued.
 
 Two writes meet on a one-server bare volume: a long one (``A``) holds the
@@ -8,6 +8,8 @@ the degraded disk model, or a head rehomed to 0.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.pvfs import DiskModel, FileSystem, IOServer, PVFSConfig
 from repro.sim import Environment, Interrupt
@@ -33,14 +35,14 @@ def two_writes(b_offset: int, while_b_waits):
 
     def client_b():
         file = yield from fs.open(1, "b")
-        while not server.disk_fifo.busy:
+        while not server.disk_queue.busy:
             yield env.timeout(1e-3)
         yield from fs.write(1, file, b_offset, B_B)
 
     def window():
-        while not len(server.disk_fifo):
+        while not len(server.disk_queue.waiting):
             yield env.timeout(1e-4)
-        seen.append((server.disk_fifo.busy, len(server.disk_fifo)))
+        seen.append((server.disk_queue.busy, len(server.disk_queue.waiting)))
         while_b_waits(fs)
 
     env.process(client_a())
@@ -88,12 +90,14 @@ def test_a_restore_while_waiting_rehomes_the_head():
     assert server.stats.outages == 1
 
 
-def test_a_waiter_that_unwinds_leaves_the_fifo():
+@pytest.mark.parametrize("sched", ["fifo", "elevator"])
+def test_a_waiter_that_unwinds_leaves_the_fifo(sched):
     """A process interrupted while it waits for the disk withdraws its
     claim: the holder keeps the disk, then hands it to the next waiter,
-    and the disk ends idle."""
+    and the disk ends idle.  The elevator would have picked the quitter
+    (1 MiB) before ``next`` (2 MiB) had it stayed queued."""
     env = Environment()
-    server = IOServer(env, 0, DiskModel())
+    server = IOServer(env, 0, DiskModel(), sched=sched)
     served = []
 
     def writer(name, offset):
@@ -110,10 +114,10 @@ def test_a_waiter_that_unwinds_leaves_the_fifo():
 
     def interrupter():
         yield env.timeout(1e-3)
-        assert len(server.disk_fifo) == 2
+        assert len(server.disk_queue.waiting) == 2
         quitter.interrupt()
         yield env.timeout(0)
-        assert len(server.disk_fifo) == 1
+        assert len(server.disk_queue.waiting) == 1
 
     env.process(interrupter())
     env.run()
@@ -125,4 +129,4 @@ def test_a_waiter_that_unwinds_leaves_the_fifo():
         ("holder", "served", holder_s),
         ("next", "served", holder_s + next_s),
     ]
-    assert not server.disk_fifo.busy and not len(server.disk_fifo)
+    assert not server.disk_queue.busy and not len(server.disk_queue.waiting)

@@ -31,12 +31,13 @@ class TestQueueDepth:
     def test_fifo_without_cache_falls_back_to_resource_queue(self):
         env = Environment()
         server = make_server(env, sched="fifo")
-        assert server.disk_queue is None
+        assert server.bare
         for i in range(3):
             env.process(writer(server, i * 128 * KIB))
         env.run(until=1e-9)
         # One request holds the bare disk; the rest wait in its FIFO.
-        assert server.queue_depth() == len(server.disk_fifo) == 2
+        assert server.queue_depth() == len(server.disk_queue.waiting) == 2
+        assert server.disk_queue.depth == 3
 
     def test_depth_drains_back_to_zero(self):
         env = Environment()

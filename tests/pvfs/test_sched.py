@@ -4,40 +4,21 @@ import random
 
 import pytest
 
-from repro.pvfs.sched import (
-    SCHEDULERS,
-    DiskQueue,
-    ElevatorPolicy,
-    FifoPolicy,
-    QueuedRequest,
-    make_policy,
-)
+from repro.pvfs.sched import DiskQueue, ElevatorPolicy, QueuedRequest
 from repro.sim import Environment, Event, SimulationError
 
 
 def waiters(env, offsets):
     return [
-        QueuedRequest(offset=o, order=i, event=Event(env))
+        QueuedRequest(offset=o, order=i, start=Event(env).succeed)
         for i, o in enumerate(offsets)
     ]
 
 
 class TestPolicies:
-    def test_make_policy(self):
-        assert isinstance(make_policy("fifo"), FifoPolicy)
-        assert isinstance(make_policy("elevator"), ElevatorPolicy)
-        with pytest.raises(ValueError):
-            make_policy("deadline")
-        assert set(SCHEDULERS) == {"fifo", "elevator"}
-
     def test_elevator_aging_validated(self):
         with pytest.raises(ValueError):
             ElevatorPolicy(aging_limit=0)
-
-    def test_fifo_is_arrival_order(self):
-        env = Environment()
-        w = waiters(env, [500, 100, 300])
-        assert FifoPolicy().select(w, head=200) == 0
 
     def test_elevator_picks_lowest_offset_ahead_of_head(self):
         env = Environment()
@@ -60,19 +41,20 @@ class TestPolicies:
 
 
 class TestDiskQueue:
-    def serve(self, policy_name, offsets, head_each=None, aging=8):
-        """Drive concurrent acquires through a queue; return service order."""
+    def serve(self, elevator, offsets, head_each=None):
+        """Drive concurrent grants through a queue; return service order."""
         env = Environment()
-        queue = DiskQueue(env, make_policy(policy_name, aging_limit=aging))
+        queue = DiskQueue(env, elevator)
         order = []
 
         def one(offset):
-            yield queue.acquire(offset)
+            grant = queue.grant(offset)
             try:
+                yield grant
                 order.append(offset)
                 yield env.timeout(1.0)
             finally:
-                queue.release(offset if head_each is None else head_each)
+                queue.release(offset if head_each is None else head_each, grant)
 
         for offset in offsets:
             env.process(one(offset))
@@ -81,37 +63,39 @@ class TestDiskQueue:
         return order
 
     def test_fifo_services_in_arrival_order(self):
-        assert self.serve("fifo", [50, 40, 30, 20, 10]) == [50, 40, 30, 20, 10]
+        assert self.serve(None, [50, 40, 30, 20, 10]) == [50, 40, 30, 20, 10]
 
     def test_elevator_sweeps_by_offset(self):
         # First arrival is serviced immediately (queue idle); the rest are
         # queued and swept upward from the released head (50).
-        assert self.serve("elevator", [50, 40, 30, 70, 60]) == [50, 60, 70, 30, 40]
+        order = self.serve(ElevatorPolicy(), [50, 40, 30, 70, 60])
+        assert order == [50, 60, 70, 30, 40]
 
     def test_depth_counts_in_service_and_waiting(self):
         env = Environment()
-        queue = DiskQueue(env, make_policy("fifo"))
+        queue = DiskQueue(env)
 
         def holder():
-            yield queue.acquire(0)
+            yield queue.grant(0)
             yield env.timeout(1.0)
             queue.release(0)
 
         def waiter():
             yield env.timeout(0.1)
             assert queue.depth == 1
-            yield queue.acquire(10)
+            grant = queue.grant(10)
+            assert queue.depth == 2
+            yield grant
             queue.release(10)
 
         env.process(holder())
         env.process(waiter())
         env.run()
         assert queue.depth == 0
-        assert queue.max_waiting == 1
 
     def test_release_without_acquire_raises(self):
         env = Environment()
-        queue = DiskQueue(env, make_policy("fifo"))
+        queue = DiskQueue(env)
         with pytest.raises(SimulationError):
             queue.release(0)
 
@@ -142,7 +126,7 @@ class TestStarvationBound:
             for _ in range(rng.randrange(0, 3)):
                 offset = rng.choice([rng.randrange(100), rng.randrange(10)])
                 waiting.append(
-                    QueuedRequest(offset=offset, order=order, event=Event(env))
+                    QueuedRequest(offset=offset, order=order, start=Event(env).succeed)
                 )
                 order += 1
             if not waiting:

@@ -10,12 +10,7 @@ for the same waiting set — across many random waiting sets.
 
 import random
 
-from repro.pvfs.sched import (
-    DiskQueue,
-    ElevatorPolicy,
-    QueuedRequest,
-    make_policy,
-)
+from repro.pvfs.sched import DiskQueue, ElevatorPolicy, QueuedRequest
 from repro.sim import Environment, Event
 
 
@@ -36,7 +31,9 @@ def drain_order(policy, waiting, head):
 def clone(waiting, passes=0):
     env = Environment()
     return [
-        QueuedRequest(offset=w.offset, order=w.order, event=Event(env), passes=passes)
+        QueuedRequest(
+            offset=w.offset, order=w.order, start=Event(env).succeed, passes=passes
+        )
         for w in waiting
     ]
 
@@ -51,7 +48,7 @@ class TestResetProperty:
                 QueuedRequest(
                     offset=rng.randrange(0, 1 << 20),
                     order=i,
-                    event=Event(env),
+                    start=Event(env).succeed,
                     passes=rng.randint(0, 20),  # stale pre-outage aging
                 )
                 for i in range(n)
@@ -61,7 +58,7 @@ class TestResetProperty:
 
             queue = DiskQueue(env, ElevatorPolicy(aging_limit=aging))
             queue.waiting = [
-                QueuedRequest(w.offset, w.order, Event(env), w.passes)
+                QueuedRequest(w.offset, w.order, Event(env).succeed, w.passes)
                 for w in waiting
             ]
             queue.reset()
@@ -75,8 +72,8 @@ class TestResetProperty:
         # overdue waiter jumps the sweep.
         env = Environment()
         waiting = [
-            QueuedRequest(offset=1000, order=0, event=Event(env), passes=0),
-            QueuedRequest(offset=5000, order=1, event=Event(env), passes=99),
+            QueuedRequest(offset=1000, order=0, start=Event(env).succeed, passes=0),
+            QueuedRequest(offset=5000, order=1, start=Event(env).succeed, passes=99),
         ]
         policy = ElevatorPolicy(aging_limit=8)
         stale = drain_order(policy, clone_with(waiting), head=0)
@@ -87,10 +84,10 @@ class TestResetProperty:
 
     def test_reset_keeps_arrival_order(self):
         env = Environment()
-        queue = DiskQueue(env, make_policy("elevator"))
+        queue = DiskQueue(env, ElevatorPolicy())
         queue.waiting = [
-            QueuedRequest(offset=10, order=3, event=Event(env), passes=5),
-            QueuedRequest(offset=20, order=7, event=Event(env), passes=2),
+            QueuedRequest(offset=10, order=3, start=Event(env).succeed, passes=5),
+            QueuedRequest(offset=20, order=7, start=Event(env).succeed, passes=2),
         ]
         queue.reset()
         assert [w.order for w in queue.waiting] == [3, 7]
@@ -98,7 +95,7 @@ class TestResetProperty:
 
     def test_fifo_queue_reset_is_harmless(self):
         env = Environment()
-        queue = DiskQueue(env, make_policy("fifo"))
+        queue = DiskQueue(env)
         queue.reset()  # empty queue: no-op
         assert queue.waiting == []
 
@@ -107,6 +104,8 @@ def clone_with(waiting):
     """Copy a waiting set *keeping* its (stale) pass counters."""
     env = Environment()
     return [
-        QueuedRequest(offset=w.offset, order=w.order, event=Event(env), passes=w.passes)
+        QueuedRequest(
+            offset=w.offset, order=w.order, start=Event(env).succeed, passes=w.passes
+        )
         for w in waiting
     ]
