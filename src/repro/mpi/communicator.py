@@ -2,10 +2,12 @@
 
 Each rank gets its own :class:`RankComm` handle (as in real MPI, where every
 process holds its own view of the communicator).  Sends move bytes through
-the :class:`~repro.mpi.network.Network` — eager, OOB and loopback sends as
-small callback-driven state machines, rendezvous sends as a protocol
-process whose RTS hold is issued at the call; receives go through the
-rank's :class:`~repro.mpi.mailbox.Mailbox`.
+the :class:`~repro.mpi.network.Network` as small callback-driven state
+machines that start at the call: OOB and loopback sends pay one fixed
+delay; eager and rendezvous sends share one wire crossing (TX hold, wire
+latency, loss and retransmission, RX hold), which a rendezvous send
+makes for its RTS header and again for its payload.  Receives go through
+the rank's :class:`~repro.mpi.mailbox.Mailbox`.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class Communicator:
                 kind, config.latency_s,
             )
         elif src == dst:
-            # The same memcpy-like cost Network.transfer charges loopback.
+            # A memcpy-like cost, as a node-local rendezvous payload pays.
             kind = "loopback"
             _ShortSend(
                 self, src, dst, tag, nbytes, payload, seq, request,
@@ -115,15 +117,7 @@ class Communicator:
             _EagerSend(self, src, dst, tag, nbytes, payload, seq, request)
         else:
             kind = "rendezvous"
-            # The RTS header's TX hold is issued at the call, like an eager
-            # send's, so the rank's operations reach its NIC in issue order.
-            rts = self.network.nic(self.ranks[src]).tx.hold(
-                config.serialization_time(HEADER_BYTES) + config.cpu_overhead_s
-            )
-            self.env.process(
-                self._rendezvous(src, dst, tag, nbytes, payload, seq, request, rts),
-                name=f"rndv-{src}->{dst}",
-            )
+            _RendezvousSend(self, src, dst, tag, nbytes, payload, seq, request)
         m = self.env.metrics
         if m.enabled:
             m.counter("mpi.messages", kind=kind, src=self.ranks[src]).add()
@@ -133,46 +127,17 @@ class Communicator:
             c.msg_sent(kind, nbytes)
         return request
 
-    def _rendezvous(self, src, dst, tag, nbytes, payload, seq, request, rts):
-        cts = self.env.event()
-        data = self.env.event()
-        header = Envelope(
-            src=src, dst=dst, tag=tag, nbytes=nbytes, payload=None,
-            kind=RENDEZVOUS_RTS, seq=seq, cts_event=cts, data_event=data,
-        )
-        # RTS header to the receiver, once its TX hold ``rts`` ends.
-        network = self.network
-        gsrc = self.ranks[src]
-        yield rts
-        network.count_tx(network.nic(gsrc), gsrc, HEADER_BYTES)
-        yield from network.deliver(gsrc, self.ranks[dst], HEADER_BYTES)
-        self.mailboxes[dst].deliver(header)
-        # Delivered once the receiver holds the RTS envelope: the payload
-        # stream is driven by the matched receive from here on.
-        c = self.env.check
-        if c.enabled:
-            c.msg_delivered("rendezvous", nbytes)
-        # Wait for the matching receive (CTS), pay the CTS flight time,
-        # then stream the payload.
-        yield cts
-        yield from self.network.wire_latency()
-        yield from self.network.transfer(self.ranks[src], self.ranks[dst], nbytes)
-        request._complete()
-        data.succeed(payload)
-
 
 class _Send:
     """A send whose protocol steps are callbacks, not a process.
 
-    The first step runs in the constructor, at the call, where a protocol
-    process would have run it, in its ``Initialize`` event.  Every
-    send, every rendezvous RTS hold and every PVFS leg starts at its call,
-    so the operations a rank issues at one instant still reach its NIC in
-    issue order, and the results stay bit-identical (``docs/MODELING.md``
-    §1).  Each later step is a callback on the event the process would
-    have yielded, scheduled in the order the process scheduled it.  The
-    events dropped are the start event and the process's completion
-    event, which had no callbacks.  NIC holds go through
+    The first step runs in the constructor, at the call.  Every send and
+    every PVFS leg starts at its call, so the operations a rank issues at
+    one instant reach its NIC in issue order (``docs/MODELING.md`` §1).
+    Each later step is a callback on the event a protocol process would
+    have yielded, scheduled in the order the process scheduled it; what
+    a process adds on top, its ``Initialize`` and completion events, had
+    no callbacks.  NIC holds go through
     :class:`~repro.sim.resources.Lane`, whose one event per hold stands
     for the grant and the timeout of a ``Resource`` (see its docstring).
     """
@@ -229,52 +194,58 @@ class _ShortSend(_Send):
         self._land(self.kind)
 
 
-class _EagerSend(_Send):
-    """Eager send: TX serialization, wire latency, RX serialization.
+class _WireSend(_Send):
+    """A send that crosses the wire: the one copy of the loss loop.
 
-    The steps: hold the sender's TX lane (at the call) → wire latency →
-    hold the receiver's RX lane → land.  The sender is locally complete once its first TX hold ends
-    (the payload is buffered at the receiver).  With :class:`LinkFaults`
-    installed a crossing may be dropped: the sender backs off, queues a
-    fresh TX hold behind whatever the lane holds by then, and crosses
-    again, until the retry budget runs out.
+    A crossing of ``wire_B`` bytes holds the sender's TX lane (the first
+    hold at the call) → wire latency → holds the receiver's RX lane →
+    :meth:`_landed`.  With :class:`LinkFaults` installed a crossing may
+    be dropped: the sender backs off, queues a fresh TX hold behind
+    whatever the lane holds by then, and crosses again, until the retry
+    budget runs out.  ``attempt`` counts the current crossing's drops.
     """
 
-    __slots__ = ("network", "gsrc", "gdst", "tx_nic", "rx_nic", "hold_s", "attempt")
+    __slots__ = ("network", "gsrc", "gdst", "tx_nic", "rx_nic", "wire_B", "hold_s", "attempt")
 
-    def __init__(self, comm, src, dst, tag, nbytes, payload, seq, request):
+    def __init__(self, comm, src, dst, tag, nbytes, payload, seq, request, wire_B):
         network = comm.network
         self.network = network
         self.gsrc = comm.ranks[src]
         self.gdst = comm.ranks[dst]
         self.tx_nic = network.nic(self.gsrc)
         self.rx_nic = network.nic(self.gdst)
-        config = network.config
-        self.hold_s = config.serialization_time(nbytes) + config.cpu_overhead_s
-        self.attempt = 0
+        self._aim(wire_B)
         super().__init__(comm, src, dst, tag, nbytes, payload, seq, request)
+
+    def _aim(self, wire_B: int) -> None:
+        """Make the next crossing carry ``wire_B`` bytes."""
+        config = self.network.config
+        self.wire_B = wire_B
+        self.hold_s = config.serialization_time(wire_B) + config.cpu_overhead_s
+        self.attempt = 0
+
+    def _landed(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
 
     # -- TX: serialize on the sender's lane -----------------------------------
     def _start(self) -> None:
         self.tx_nic.tx.hold(self.hold_s).callbacks.append(self._tx_done)
 
     def _tx_done(self, _event: Event) -> None:
-        self.network.count_tx(self.tx_nic, self.gsrc, self.nbytes)
-        if not self.attempt:
-            self.request._complete()
+        self.network.count_tx(self.tx_nic, self.gsrc, self.wire_B)
         Timeout(self.env, self.network.config.latency_s).callbacks.append(self._crossed)
 
     # -- the wire: delivered, or dropped and retransmitted --------------------
     def _crossed(self, _event: Event) -> None:
         network = self.network
-        spec = network._dropped_by(self.gsrc, self.gdst, self.nbytes)
+        spec = network._dropped_by(self.gsrc, self.gdst, self.wire_B)
         if spec is None:
             self.rx_nic.rx.hold(self.hold_s).callbacks.append(self._rx_done)
             return
         self.attempt += 1
         try:
             network._check_retry_budget(
-                spec, self.attempt, self.gsrc, self.gdst, self.nbytes
+                spec, self.attempt, self.gsrc, self.gdst, self.wire_B
             )
         except LinkFailure as failure:
             # Fail an event rather than raise inside a callback: env.run()
@@ -289,10 +260,87 @@ class _EagerSend(_Send):
         self.network._count_retransmit(self.gsrc, self.gdst)
         self._start()
 
-    # -- RX: serialize on the receiver's lane, land ---------------------------
+    # -- RX: serialize on the receiver's lane ---------------------------------
     def _rx_done(self, _event: Event) -> None:
-        self.network.count_rx(self.rx_nic, self.gdst, self.nbytes)
+        self.network.count_rx(self.rx_nic, self.gdst, self.wire_B)
+        self._landed()
+
+
+class _EagerSend(_WireSend):
+    """Eager send: the payload crosses once and lands in the receiver's
+    buffer.  The sender is locally complete once its first TX hold ends."""
+
+    __slots__ = ()
+
+    def __init__(self, comm, src, dst, tag, nbytes, payload, seq, request):
+        super().__init__(comm, src, dst, tag, nbytes, payload, seq, request, nbytes)
+
+    def _tx_done(self, event: Event) -> None:
+        if not self.attempt:
+            self.request._complete()
+        _WireSend._tx_done(self, event)
+
+    def _landed(self) -> None:
         self._land("eager")
+
+
+class _RendezvousSend(_WireSend):
+    """Rendezvous send: RTS header, CTS, payload.
+
+    The ``HEADER_BYTES`` RTS crosses and lands as a ``RENDEZVOUS_RTS``
+    envelope; the matching receive succeeds its ``cts``.  The CTS flies
+    back (``latency_s``), then the payload streams: node-mates (one NIC)
+    copy it through shared memory at the loopback cost, everyone else
+    sends it across the wire in a second crossing.  Once it lands the
+    send completes and ``data`` hands the payload to the receive.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, comm, src, dst, tag, nbytes, payload, seq, request):
+        self.data: Optional[Event] = None  # made when the RTS lands
+        super().__init__(
+            comm, src, dst, tag, nbytes, payload, seq, request, HEADER_BYTES
+        )
+
+    def _landed(self) -> None:
+        if self.data is not None:
+            self._delivered()
+            return
+        env = self.env
+        cts = Event(env)
+        self.data = Event(env)
+        self.comm.mailboxes[self.dst].deliver(
+            Envelope(
+                src=self.src, dst=self.dst, tag=self.tag, nbytes=self.nbytes,
+                payload=None, kind=RENDEZVOUS_RTS, seq=self.seq,
+                cts_event=cts, data_event=self.data,
+            )
+        )
+        # Delivered once the receiver holds the RTS envelope: the payload
+        # stream is driven by the matched receive from here on.
+        c = env.check
+        if c.enabled:
+            c.msg_delivered("rendezvous", self.nbytes)
+        cts.callbacks.append(self._cleared)
+
+    def _cleared(self, _event: Event) -> None:
+        Timeout(self.env, self.network.config.latency_s).callbacks.append(self._stream)
+
+    def _stream(self, _event: Event) -> None:
+        if self.tx_nic is self.rx_nic:
+            config = self.network.config
+            Timeout(
+                self.env,
+                config.cpu_overhead_s + config.serialization_time(self.nbytes) / 4,
+            ).callbacks.append(self._delivered)
+            return
+        self._aim(self.nbytes)
+        self._start()
+
+    def _delivered(self, _event: Optional[Event] = None) -> None:
+        self.request._complete()
+        self.data.succeed(self.payload)
 
 
 class RankComm:

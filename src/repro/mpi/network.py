@@ -7,13 +7,14 @@ that drives the paper's results:
   each a :class:`~repro.sim.resources.Lane` (FIFO, capacity 1, one event
   per hold) — concurrent messages to/from the same rank serialize (this
   is what makes the master-writing strategy a funnel);
-* a point-to-point transfer costs ``latency + nbytes / bandwidth`` on the
+* a point-to-point crossing costs ``latency + nbytes / bandwidth`` on the
   wire plus per-message CPU overhead on both ends;
-* an optional fabric capacity bounds the number of full-rate transfers in
-  flight (crude bisection-bandwidth stand-in; unlimited by default, as
-  Myrinet-2000 on <100 nodes was far from bisection-limited for this
-  workload).  It is a :class:`~repro.sim.resources.Resource`, not a lane:
-  its slot spans TX, propagation and RX.
+* the fabric itself never contends: Myrinet-2000 on <100 nodes was far
+  from bisection-limited for this workload.
+
+The crossing itself (TX hold, latency, loss and retransmission, RX hold)
+is one callback machine in :mod:`repro.mpi.communicator`; this module
+holds the NICs, their counters and the loss model it consults.
 
 Defaults correspond to the Feynman cluster's Myrinet-2000 interconnect.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..sim import Environment, Lane, Resource, SimulationError
+from ..sim import Environment, Lane, SimulationError
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -50,16 +51,12 @@ class NetworkConfig:
     cpu_overhead_s:
         Per-message host CPU cost charged on each side (packetization,
         matching).
-    fabric_capacity:
-        Max concurrent full-rate transfers through the fabric; ``None``
-        disables fabric contention.
     """
 
     latency_s: float = 7e-6
     bandwidth_Bps: float = 245 * MIB
     eager_threshold_B: int = 64 * KIB
     cpu_overhead_s: float = 1e-6
-    fabric_capacity: Optional[int] = None
     #: Ranks sharing one physical adapter.  Feynman ran two compute
     #: processes per dual-CPU node over a single Myrinet card ("Since each
     #: of compute nodes had dual CPUs, we ran two compute processes per
@@ -73,8 +70,6 @@ class NetworkConfig:
             raise ValueError("bandwidth_Bps must be positive")
         if self.eager_threshold_B < 0:
             raise ValueError("eager_threshold_B must be non-negative")
-        if self.fabric_capacity is not None and self.fabric_capacity <= 0:
-            raise ValueError("fabric_capacity must be positive or None")
         if self.ranks_per_nic <= 0:
             raise ValueError("ranks_per_nic must be positive")
 
@@ -179,10 +174,10 @@ class Nic:
 
 
 class Network:
-    """Owns per-rank NICs and provides the transfer primitives.
+    """Owns the NICs, their counters and the loss model.
 
-    The MPI layer composes these primitives into eager/rendezvous protocol
-    processes; the network itself knows nothing about matching.
+    The MPI layer's sends hold the NIC lanes and call the counting and
+    loss hooks here; the network itself knows nothing about matching.
     """
 
     def __init__(self, env: Environment, nranks: int, config: NetworkConfig) -> None:
@@ -194,11 +189,6 @@ class Network:
         # With ranks_per_nic > 1, node-mates share one adapter object.
         nnics = -(-nranks // config.ranks_per_nic)
         self.nics: Dict[int, Nic] = {n: Nic(env, n) for n in range(nnics)}
-        self.fabric: Optional[Resource] = (
-            Resource(env, capacity=config.fabric_capacity)
-            if config.fabric_capacity is not None
-            else None
-        )
         self.faults: Optional[LinkFaults] = None
 
     def install_faults(self, faults: LinkFaults) -> None:
@@ -234,26 +224,6 @@ class Network:
         c = self.env.check
         if c.enabled:
             c.nic_rx(nbytes)
-
-    def occupy_tx(self, src: int, nbytes: int):
-        """Process fragment: hold src's TX channel for the wire time."""
-        nic = self.nic(src)
-        yield nic.tx.hold(
-            self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
-        )
-        self.count_tx(nic, src, nbytes)
-
-    def occupy_rx(self, dst: int, nbytes: int):
-        """Process fragment: hold dst's RX channel for the wire time."""
-        nic = self.nic(dst)
-        yield nic.rx.hold(
-            self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
-        )
-        self.count_rx(nic, dst, nbytes)
-
-    def wire_latency(self):
-        """Process fragment: one-way propagation delay."""
-        yield self.env.timeout(self.config.latency_s)
 
     def _dropped_by(self, src: int, dst: int, nbytes: int):
         """The loss window that dropped this crossing, or None; counts it."""
@@ -291,64 +261,3 @@ class Network:
         m = self.env.metrics
         if m.enabled:
             m.inc("mpi.retransmits", 1.0, src=src, dst=dst)
-
-    def deliver(self, src: int, dst: int, nbytes: int):
-        """Process fragment: propagate and land ``nbytes`` at ``dst``.
-
-        This is the lossy half of a transfer — the sender has already paid
-        TX serialization.  With no :class:`LinkFaults` installed the cost
-        is exactly ``wire_latency + occupy_rx`` (the fault-free fast path
-        adds zero events).  With faults, a dropped message costs the wire
-        latency, a retransmission timeout with exponential backoff, and a
-        fresh TX serialization per retry.
-        """
-        attempt = 0
-        while True:
-            yield from self.wire_latency()
-            spec = self._dropped_by(src, dst, nbytes)
-            if spec is None:
-                yield from self.occupy_rx(dst, nbytes)
-                return
-            attempt += 1
-            self._check_retry_budget(spec, attempt, src, dst, nbytes)
-            yield self.env.timeout(LinkFaults.retransmit_delay(spec, attempt))
-            self._count_retransmit(src, dst)
-            yield from self.occupy_tx(src, nbytes)
-
-    def transfer(self, src: int, dst: int, nbytes: int):
-        """Process fragment: full point-to-point transfer src → dst.
-
-        TX serialization, optional fabric slot, propagation, RX
-        serialization.  Loopback and node-local transfers (same NIC) only
-        pay a memcpy-like cost — MPI moves intra-node traffic through
-        shared memory, never the wire (and never the loss model).
-
-        With a bounded fabric the slot is held only while the message is
-        physically in flight (TX → propagation → RX).  A dropped message
-        *releases* its slot for the whole retransmission backoff and
-        re-acquires it per attempt — a sender sleeping through exponential
-        backoff must not pin fabric capacity it is not using.
-        """
-        if src == dst or self.nic(src) is self.nic(dst):
-            yield self.env.timeout(
-                self.config.cpu_overhead_s + self.config.serialization_time(nbytes) / 4
-            )
-            return
-        if self.fabric is None:
-            yield from self.occupy_tx(src, nbytes)
-            yield from self.deliver(src, dst, nbytes)
-            return
-        attempt = 0
-        while True:
-            with self.fabric.request() as slot:
-                yield slot
-                yield from self.occupy_tx(src, nbytes)
-                yield from self.wire_latency()
-                spec = self._dropped_by(src, dst, nbytes)
-                if spec is None:
-                    yield from self.occupy_rx(dst, nbytes)
-                    return
-            attempt += 1
-            self._check_retry_budget(spec, attempt, src, dst, nbytes)
-            yield self.env.timeout(LinkFaults.retransmit_delay(spec, attempt))
-            self._count_retransmit(src, dst)

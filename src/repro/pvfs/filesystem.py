@@ -503,7 +503,7 @@ class FileSystem:
                 continue
             legs.append(_ServerRequest(self, client, server, _SYNC))
         if legs:
-            yield Join(self.env, *legs)
+            yield legs[0] if len(legs) == 1 else Join(self.env, *legs)
 
     # -- internals -----------------------------------------------------------------
     def _round_trip_metadata(self):

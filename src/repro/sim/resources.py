@@ -1,10 +1,9 @@
 """Shared-resource primitives: Resource, Lane, Store.
 
 These model contention points in the simulated system — NIC and server
-channels, the metadata server, the bounded fabric, the write-back
-cache's flush lock.  (A server's disk is a
-:class:`~repro.pvfs.sched.DiskQueue`: its service is priced when it is
-granted.)  :class:`Resource` is the classic request/release
+channels, the metadata server, the write-back cache's flush lock.  (A
+server's disk is a :class:`~repro.pvfs.sched.DiskQueue`: its service is
+priced when it is granted.)  :class:`Resource` is the classic request/release
 slot pool: a request is an event that a process yields, and it works
 as a context manager for exception-safe release.  :class:`Lane` is
 the cheaper special case the model's serial channels need: FIFO,

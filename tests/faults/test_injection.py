@@ -3,7 +3,8 @@
 import pytest
 
 from repro.faults import MessageLoss, WorkerCrashFault
-from repro.mpi.network import LinkFailure, LinkFaults, Network, NetworkConfig
+from repro.mpi import MpiWorld
+from repro.mpi.network import LinkFailure, LinkFaults, NetworkConfig
 from repro.pvfs import FileSystem
 from repro.sim import Environment
 from repro.sim.rng import RandomStreams
@@ -29,62 +30,54 @@ class TestLinkFaults:
         with pytest.raises(ValueError):
             LinkFaults([], _NeverDrop())
 
-    def test_certain_loss_exhausts_retries(self, env):
-        net = Network(env, 2, NetworkConfig())
+    def test_certain_loss_exhausts_retries(self):
+        w = MpiWorld(2, NetworkConfig())
+        net = w.network
         net.install_faults(
             LinkFaults(
                 [MessageLoss(drop_prob=0.99, max_retries=3)], _AlwaysDrop()
             )
         )
-        outcome = {}
-
-        def sender(env):
-            try:
-                yield from net.transfer(0, 1, 4096)
-            except LinkFailure:
-                outcome["failed_at"] = env.now
-
-        env.process(sender(env))
-        env.run()
-        assert "failed_at" in outcome
+        w.comm.view(0).isend(1, tag=0, nbytes=4096)
+        with pytest.raises(LinkFailure):
+            w.env.run()
+        assert w.env.now > 0
         assert net.faults.stats.drops == 4  # initial + 3 retransmissions
         assert net.faults.stats.retransmits == 3
         assert net.faults.stats.link_failures == 1
 
-    def test_drops_outside_window_never_happen(self, env):
-        net = Network(env, 2, NetworkConfig())
+    def test_drops_outside_window_never_happen(self):
+        w = MpiWorld(2, NetworkConfig())
+        net = w.network
         net.install_faults(
             LinkFaults(
                 [MessageLoss(drop_prob=0.99, start=100.0, end=200.0)],
                 _AlwaysDrop(),
             )
         )
-        done = {}
-
-        def sender(env):
-            yield from net.transfer(0, 1, 4096)
-            done["at"] = env.now
-
-        env.process(sender(env))
-        env.run()
-        assert "at" in done
+        w.comm.view(0).isend(1, tag=0, nbytes=4096)
+        recv = w.comm.view(1).irecv(source=0, tag=0)
+        w.env.run()
+        assert recv.completed
         assert net.faults.stats.drops == 0
 
-    def test_seeded_drops_are_recovered(self, env):
-        net = Network(env, 2, NetworkConfig())
+    def test_seeded_drops_are_recovered(self):
+        w = MpiWorld(2, NetworkConfig())
+        env, net = w.env, w.network
         rng = RandomStreams(1234).stream("link-faults")
         net.install_faults(
             LinkFaults([MessageLoss(drop_prob=0.5, max_retries=50)], rng)
         )
         delivered = []
 
-        def sender(env, i):
+        def sender(i):
             yield env.timeout(i * 1e-3)
-            yield from net.transfer(0, 1, 8192)
+            w.comm.view(0).isend(1, tag=i, nbytes=8192)
+            yield from w.comm.view(1).irecv(source=0, tag=i).wait()
             delivered.append(i)
 
         for i in range(20):
-            env.process(sender(env, i))
+            env.process(sender(i))
         env.run()
         stats = net.faults.stats
         assert sorted(delivered) == list(range(20))

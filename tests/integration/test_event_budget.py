@@ -70,14 +70,14 @@ def test_lone_eager_send():
 
 
 def test_rendezvous_send():
-    """The protocol process's ``Initialize``; RTS: TX hold, wire, RX hold;
-    CTS, its flight; payload: TX hold, wire, RX hold; send completion,
-    payload handoff, the process's completion, receive completion."""
+    """RTS: TX hold, wire, RX hold; CTS, its flight; payload: TX hold,
+    wire, RX hold; send completion, payload handoff, receive
+    completion."""
     w = world()
     nbytes = 4 * w.config.eager_threshold_B
     receive = w.comm.view(1).irecv(source=0, tag=1)
     send = w.comm.view(0).isend(1, tag=1, nbytes=nbytes, payload="big")
-    assert drain(w.env) == 13
+    assert drain(w.env) == 11
     assert send.completed and receive.completed
     assert receive.status.nbytes == nbytes
 
@@ -103,6 +103,15 @@ def test_sync_on_two_servers():
     assert wait_on(env, fs.sync(0, file)) == 9
     assert fs.total_syncs() == 2
 
+
+def test_sync_on_one_server():
+    """Client TX hold, wire, disk service, the leg; the caller waits on
+    the leg itself, not on a one-leg ``Join``."""
+    env = Environment()
+    fs = FileSystem(env, PVFSConfig(nservers=1))
+    file = created(fs)
+    assert wait_on(env, fs.sync(0, file)) == 4
+    assert fs.total_syncs() == 1
 
 
 def test_one_rank_reaches_its_nic_in_issue_order(monkeypatch):

@@ -1,14 +1,46 @@
-"""Unit tests for the network timing model."""
+"""Unit tests for the network timing model.
+
+Messages cross the network through the communicator's sends, issued from
+the test itself with their receives posted (``isend`` / ``irecv`` on an
+:class:`MpiWorld`).  ``WIRE`` raises the eager threshold to 1 MiB so a
+1 MiB message crosses the wire once, as one eager send.
+"""
 
 import pytest
 
-from repro.mpi import MIB, Network, NetworkConfig
+from repro.faults import MessageLoss
+from repro.mpi import MIB, MpiWorld, Network, NetworkConfig
+from repro.mpi.communicator import HEADER_BYTES
+from repro.mpi.network import LinkFailure, LinkFaults
 from repro.sim import Environment
+
+#: Free latency and CPU, 1 s per MiB on a NIC lane, 1 MiB still eager.
+WIRE = dict(
+    latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0, eager_threshold_B=1 * MIB
+)
 
 
 @pytest.fixture
 def env():
     return Environment()
+
+
+def world(nranks, **config):
+    """An :class:`MpiWorld` on a network with these ``NetworkConfig`` fields."""
+    return MpiWorld(nranks, NetworkConfig(**config))
+
+
+def arrivals(w, pairs, nbytes):
+    """Send ``nbytes`` along each ``(src, dst)`` of ``pairs`` now, with the
+    receive posted; the returned list collects each receive's completion
+    instant as the run proceeds."""
+    env = w.env
+    landed = []
+    for tag, (src, dst) in enumerate(pairs):
+        w.comm.view(src).isend(dst, tag, nbytes, payload=(src, tag))
+        recv = w.comm.view(dst).irecv(source=src, tag=tag)
+        recv.done_event.callbacks.append(lambda _event: landed.append(env.now))
+    return landed
 
 
 class TestNetworkConfig:
@@ -22,8 +54,6 @@ class TestNetworkConfig:
             NetworkConfig(latency_s=-1)
         with pytest.raises(ValueError):
             NetworkConfig(bandwidth_Bps=0)
-        with pytest.raises(ValueError):
-            NetworkConfig(fabric_capacity=0)
         with pytest.raises(ValueError):
             NetworkConfig(eager_threshold_B=-1)
 
@@ -45,98 +75,53 @@ class TestNetwork:
         with pytest.raises(ValueError):
             net.nic(2)
 
-    def test_transfer_advances_clock(self, env):
-        cfg = NetworkConfig(latency_s=1e-3, bandwidth_Bps=1 * MIB, cpu_overhead_s=0)
-        net = Network(env, 2, cfg)
-
-        def proc():
-            yield from net.transfer(0, 1, 1 * MIB)
-
-        env.run(env.process(proc()))
+    def test_transfer_advances_clock(self):
+        w = world(2, **dict(WIRE, latency_s=1e-3))
+        landed = arrivals(w, [(0, 1)], 1 * MIB)
+        w.env.run()
         # 1 MiB serializes through TX and RX (1s each) plus latency.
-        assert env.now == pytest.approx(2 + 1e-3, rel=1e-6)
+        assert landed == [pytest.approx(2 + 1e-3, rel=1e-6)]
 
-    def test_loopback_is_cheap(self, env):
-        cfg = NetworkConfig(latency_s=1e-3, bandwidth_Bps=1 * MIB, cpu_overhead_s=0)
-        net = Network(env, 2, cfg)
+    def test_loopback_is_cheap(self):
+        w = world(2, **dict(WIRE, latency_s=1e-3))
+        landed = arrivals(w, [(0, 0)], 1 * MIB)
+        w.env.run()
+        assert landed[0] < 0.5  # far less than the network path
 
-        def proc():
-            yield from net.transfer(0, 0, 1 * MIB)
-
-        env.run(env.process(proc()))
-        assert env.now < 0.5  # far less than the network path
-
-    def test_tx_serializes_concurrent_sends(self, env):
-        cfg = NetworkConfig(latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0)
-        net = Network(env, 3, cfg)
+    def test_tx_serializes_concurrent_sends(self):
+        w = world(3, **WIRE)
+        env = w.env
         done = []
-
-        def sender(dst):
-            yield from net.occupy_tx(0, 1 * MIB)
-            done.append((env.now, dst))
-
-        env.process(sender(1))
-        env.process(sender(2))
+        for dst in (1, 2):
+            send = w.comm.view(0).isend(dst, 0, 1 * MIB)
+            send.done_event.callbacks.append(lambda _e, d=dst: done.append((env.now, d)))
+            w.comm.view(dst).irecv(source=0, tag=0)
         env.run()
+        # An eager send completes when its TX hold ends.
         times = sorted(t for t, _ in done)
         assert times[0] == pytest.approx(1.0)
         assert times[1] == pytest.approx(2.0)  # second waits for the NIC
 
-    def test_rx_serializes_concurrent_receives(self, env):
-        cfg = NetworkConfig(latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0)
-        net = Network(env, 3, cfg)
-        done = []
-
-        def sender(src):
-            yield from net.transfer(src, 0, 1 * MIB)
-            done.append(env.now)
-
-        env.process(sender(1))
-        env.process(sender(2))
-        env.run()
+    def test_rx_serializes_concurrent_receives(self):
+        w = world(3, **WIRE)
+        landed = arrivals(w, [(1, 0), (2, 0)], 1 * MIB)
+        w.env.run()
         # Each sender pays 1s TX (in parallel), then rank 0's RX channel
         # serializes the two arrivals: completions at 2s and 3s.
-        assert sorted(done) == [pytest.approx(2.0), pytest.approx(3.0)]
+        assert sorted(landed) == [pytest.approx(2.0), pytest.approx(3.0)]
 
-    def test_distinct_paths_proceed_in_parallel(self, env):
-        cfg = NetworkConfig(latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0)
-        net = Network(env, 4, cfg)
-        done = []
+    def test_distinct_paths_proceed_in_parallel(self):
+        w = world(4, **WIRE)
+        landed = arrivals(w, [(0, 1), (2, 3)], 1 * MIB)
+        w.env.run()
+        assert landed == [pytest.approx(2.0), pytest.approx(2.0)]
 
-        def pair(src, dst):
-            yield from net.transfer(src, dst, 1 * MIB)
-            done.append(env.now)
-
-        env.process(pair(0, 1))
-        env.process(pair(2, 3))
-        env.run()
-        assert done == [pytest.approx(2.0), pytest.approx(2.0)]
-
-    def test_fabric_capacity_limits_concurrency(self, env):
-        cfg = NetworkConfig(
-            latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0, fabric_capacity=1
-        )
-        net = Network(env, 4, cfg)
-        done = []
-
-        def pair(src, dst):
-            yield from net.transfer(src, dst, 1 * MIB)
-            done.append(env.now)
-
-        env.process(pair(0, 1))
-        env.process(pair(2, 3))
-        env.run()
-        assert sorted(done) == [pytest.approx(2.0), pytest.approx(4.0)]
-
-    def test_nic_stats_accumulate(self, env):
-        cfg = NetworkConfig(latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0)
-        net = Network(env, 2, cfg)
-
-        def proc():
-            yield from net.transfer(0, 1, 1000)
-            yield from net.transfer(0, 1, 2000)
-
-        env.run(env.process(proc()))
+    def test_nic_stats_accumulate(self):
+        w = world(2, **WIRE)
+        arrivals(w, [(0, 1)], 1000)
+        arrivals(w, [(0, 1)], 2000)
+        w.env.run()
+        net = w.network
         assert net.nic(0).stats.tx_messages == 2
         assert net.nic(0).stats.tx_bytes == 3000
         assert net.nic(1).stats.rx_bytes == 3000
@@ -157,36 +142,25 @@ class TestSharedNics:
         with pytest.raises(ValueError):
             NetworkConfig(ranks_per_nic=0)
 
-    def test_node_local_transfer_skips_the_wire(self, env):
-        cfg = NetworkConfig(
-            latency_s=1e-3, bandwidth_Bps=1 * MIB, cpu_overhead_s=0,
+    def test_node_local_transfer_skips_the_wire(self):
+        # A rendezvous payload between node-mates: only its RTS header
+        # crosses the shared adapter.
+        w = world(
+            4, latency_s=1e-3, bandwidth_Bps=1 * MIB, cpu_overhead_s=0,
             ranks_per_nic=2,
         )
-        net = Network(env, 4, cfg)
+        landed = arrivals(w, [(0, 1)], 1 * MIB)  # node-mates
+        w.env.run()
+        assert landed[0] < 0.5  # shared-memory path, not 2s of wire time
+        assert w.network.nic(0).stats.tx_bytes == HEADER_BYTES
 
-        def proc():
-            yield from net.transfer(0, 1, 1 * MIB)  # node-mates
-
-        env.run(env.process(proc()))
-        assert env.now < 0.5  # shared-memory path, not 2s of wire time
-
-    def test_node_mates_contend_on_shared_nic(self, env):
-        cfg = NetworkConfig(
-            latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0,
-            ranks_per_nic=2,
-        )
-        net = Network(env, 4, cfg)
-        done = []
-
-        def sender(src, dst):
-            yield from net.transfer(src, dst, 1 * MIB)
-            done.append(env.now)
-
-        env.process(sender(0, 2))  # rank 0 and 1 share NIC 0
-        env.process(sender(1, 3))
-        env.run()
+    def test_node_mates_contend_on_shared_nic(self):
+        w = world(4, **dict(WIRE, ranks_per_nic=2))
+        # Ranks 0 and 1 share NIC 0.
+        landed = arrivals(w, [(0, 2), (1, 3)], 1 * MIB)
+        w.env.run()
         # TX of the shared adapter serializes: 1s then 2s (plus RX).
-        assert max(done) >= 2.0
+        assert max(landed) >= 2.0
 
 
 class _ScriptedRng:
@@ -215,99 +189,20 @@ class TestNicIdentity:
         assert "id=1" in repr(net.nic(2))
         assert "rank" not in repr(net.nic(2))
 
-    def test_metrics_label_by_nic_and_rank(self, env):
+    def test_metrics_label_by_nic_and_rank(self):
         from repro.obs import MetricsRegistry
 
+        w = world(4, **dict(WIRE, ranks_per_nic=2))
+        env = w.env
         env.metrics = MetricsRegistry()
-        cfg = NetworkConfig(
-            latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0, ranks_per_nic=2
-        )
-        net = Network(env, 4, cfg)
-
-        def proc():
-            yield from net.transfer(1, 2, 1000)  # adapter 0 -> adapter 1
-
-        env.run(env.process(proc()))
+        arrivals(w, [(1, 2)], 1000)  # adapter 0 -> adapter 1
+        env.run()
         snap = env.metrics.snapshot()
         # The shared adapter's traffic is attributed to the sending rank
         # *and* the adapter, so neither view lies.
         assert snap.counter_total("mpi.nic_tx_bytes", nic=0, rank=1) == 1000
         assert snap.counter_total("mpi.nic_rx_bytes", nic=1, rank=2) == 1000
         assert snap.counter_total("mpi.nic_tx_bytes", nic=0, rank=0) == 0
-
-
-class TestFabricBackoffRelease:
-    """Regression: a sender sleeping through retransmission backoff must
-    not pin its fabric-capacity slot."""
-
-    def _lossy_fabric_net(self, env, rng_values):
-        from repro.faults import MessageLoss
-        from repro.mpi.network import LinkFaults
-
-        cfg = NetworkConfig(
-            latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0, fabric_capacity=1
-        )
-        net = Network(env, 4, cfg)
-        loss = MessageLoss(
-            drop_prob=0.5,
-            start=0.0,
-            end=5.0,
-            retransmit_timeout_s=10.0,
-            backoff=2.0,
-            max_retries=12,
-        )
-        net.install_faults(LinkFaults([loss], _ScriptedRng(rng_values)))
-        return net
-
-    def test_fabric_slot_released_during_backoff(self, env):
-        # First crossing (A) drops; second (B) delivers.  A sleeps 10s
-        # before retransmitting; B must ride the fabric meanwhile.
-        net = self._lossy_fabric_net(env, [0.0, 0.9, 0.9, 0.9])
-        done = {}
-
-        def pair(name, src, dst):
-            yield from net.transfer(src, dst, 1 * MIB)
-            done[name] = env.now
-
-        env.process(pair("a", 0, 1))
-        env.process(pair("b", 2, 3))
-        env.run()
-        # B: waited for A's first (failed) attempt, then tx 1->2 + rx 2->3.
-        assert done["b"] == pytest.approx(3.0)
-        # A: backoff till 11, then tx 11->12 + rx 12->13 (window over).
-        assert done["a"] == pytest.approx(13.0)
-        assert net.faults.stats.drops == 1
-        assert net.faults.stats.retransmits == 1
-
-    def test_faulted_fabric_transfer_still_counts_budget(self, env):
-        from repro.faults import MessageLoss
-        from repro.mpi.network import LinkFailure, LinkFaults
-
-        # Every crossing drops, window outlasts every retry: the per-attempt
-        # slot handling must still honour the retry budget.
-        cfg = NetworkConfig(
-            latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0, fabric_capacity=1
-        )
-        net = Network(env, 2, cfg)
-        # drop_prob < 1 required; the scripted stream of 0.0 draws makes
-        # every crossing drop anyway.
-        loss = MessageLoss(
-            drop_prob=0.5,
-            start=0.0,
-            end=1e9,
-            retransmit_timeout_s=1e-3,
-            max_retries=3,
-        )
-        net.install_faults(LinkFaults([loss], _ScriptedRng([0.0] * 16)))
-
-        def doomed():
-            yield from net.transfer(0, 1, 1000)
-
-        proc = env.process(doomed())
-        with pytest.raises(LinkFailure):
-            env.run(proc)
-        assert net.faults.stats.link_failures == 1
-        assert net.faults.stats.drops == 4  # initial attempt + 3 retries
 
 
 class TestOverlappingLossWindows:
@@ -319,33 +214,25 @@ class TestOverlappingLossWindows:
     would change every multi-window fault plan's timing.
     """
 
-    def _two_window_net(self, env, rng_values, first, second):
-        from repro.mpi.network import LinkFaults
+    def _two_window_world(self, rng_values, first, second):
+        w = world(2, **WIRE)
+        w.network.install_faults(
+            LinkFaults([first, second], _ScriptedRng(rng_values))
+        )
+        return w
 
-        cfg = NetworkConfig(latency_s=0, bandwidth_Bps=1 * MIB, cpu_overhead_s=0)
-        net = Network(env, 2, cfg)
-        net.install_faults(LinkFaults([first, second], _ScriptedRng(rng_values)))
-        return net
-
-    def test_first_declared_window_governs_overlap(self, env):
-        from repro.faults import MessageLoss
-
+    def test_first_declared_window_governs_overlap(self):
         # Both windows active at t=0; the first has a tame 10% drop rate,
         # the second drops (almost) everything.  A draw of 0.5 would be a
         # drop under the second window but must NOT drop under the first.
         first = MessageLoss(drop_prob=0.1, start=0.0, end=10.0)
         second = MessageLoss(drop_prob=0.99, start=0.0, end=10.0)
-        net = self._two_window_net(env, [0.5], first, second)
+        w = self._two_window_world([0.5], first, second)
+        arrivals(w, [(0, 1)], 1000)
+        w.env.run()
+        assert w.network.faults.stats.drops == 0
 
-        def proc():
-            yield from net.transfer(0, 1, 1000)
-
-        env.run(env.process(proc()))
-        assert net.faults.stats.drops == 0
-
-    def test_first_active_window_sets_backoff_schedule(self, env):
-        from repro.faults import MessageLoss
-
+    def test_first_active_window_sets_backoff_schedule(self):
         # The first-declared window is over by t=0.5; the second (slow
         # retransmit timer) is the first *active* spec and must provide
         # the backoff schedule for a drop inside it.
@@ -355,34 +242,95 @@ class TestOverlappingLossWindows:
         late = MessageLoss(
             drop_prob=0.5, start=1.0, end=10.0, retransmit_timeout_s=3.0
         )
-        net = self._two_window_net(env, [0.0, 0.9], early, late)
-        done = {}
-
-        def proc():
-            yield env.timeout(2.0)  # inside the late window only
-            yield from net.transfer(0, 1, 1000)
-            done["t"] = env.now
-
-        env.run(env.process(proc()))
-        assert net.faults.stats.drops == 1
+        w = self._two_window_world([0.0, 0.9], early, late)
+        w.env.run(until=2.0)  # inside the late window only
+        landed = arrivals(w, [(0, 1)], 1000)
+        w.env.run()
+        assert w.network.faults.stats.drops == 1
         # Dropped at ~2.0, retransmitted after the LATE window's 3.0 s
         # timeout (not the early window's 1 ms), delivered after that.
-        assert done["t"] == pytest.approx(5.0, abs=0.01)
+        assert landed == [pytest.approx(5.0, abs=0.01)]
 
-    def test_zero_prob_window_is_skipped(self, env):
-        from repro.faults import MessageLoss
-
+    def test_zero_prob_window_is_skipped(self):
         # A drop_prob=0 window never governs: the active-spec scan skips
         # it, so the later lossy window still applies.
         inert = MessageLoss(drop_prob=0.0, start=0.0, end=10.0)
         lossy = MessageLoss(
             drop_prob=0.5, start=0.0, end=10.0, retransmit_timeout_s=1e-3
         )
-        net = self._two_window_net(env, [0.0, 0.9], inert, lossy)
+        w = self._two_window_world([0.0, 0.9], inert, lossy)
+        arrivals(w, [(0, 1)], 1000)
+        w.env.run()
+        assert w.network.faults.stats.drops == 1
+        assert w.network.faults.stats.retransmits == 1
 
-        def proc():
-            yield from net.transfer(0, 1, 1000)
 
-        env.run(env.process(proc()))
-        assert net.faults.stats.drops == 1
-        assert net.faults.stats.retransmits == 1
+class TestLossyCrossings:
+    """Every crossing, the rendezvous RTS and payload included, goes
+    through the one drop → back-off → retransmit loop, with a retry
+    budget per crossing."""
+
+    LATENCY = 1e-3
+    TIMEOUT = 0.01
+    PAYLOAD = 128 * 1024  # above the default 64 KiB eager threshold
+
+    def _lossy_world(self, rng_values, max_retries=12):
+        w = world(
+            2, latency_s=self.LATENCY, bandwidth_Bps=1 * MIB, cpu_overhead_s=0
+        )
+        # drop_prob < 1 is required; the scripted draws decide each crossing.
+        loss = MessageLoss(
+            drop_prob=0.5, retransmit_timeout_s=self.TIMEOUT,
+            max_retries=max_retries,
+        )
+        w.network.install_faults(LinkFaults([loss], _ScriptedRng(rng_values)))
+        return w
+
+    def test_rendezvous_header_and_payload_retransmit(self):
+        # Draws: RTS dropped, RTS delivered, payload dropped, payload
+        # delivered.
+        w = self._lossy_world([0.0, 0.9, 0.0, 0.9])
+        env = w.env
+        recv = w.comm.view(1).irecv(source=0, tag=7)
+        send = w.comm.view(0).isend(1, tag=7, nbytes=self.PAYLOAD, payload="big")
+        sent = []
+        send.done_event.callbacks.append(lambda _e: sent.append(env.now))
+        env.run()
+        h = HEADER_BYTES / MIB  # one header hold
+        p = self.PAYLOAD / MIB  # one payload hold
+        lat, rto = self.LATENCY, self.TIMEOUT
+        rts_landed = (h + lat + rto) + (h + lat) + h  # dropped, resent, RX
+        payload_landed = rts_landed + lat + (p + lat + rto) + (p + lat) + p
+        assert sent == [pytest.approx(payload_landed, rel=1e-12)]
+        assert recv.completed and recv.done_event.value == "big"
+        stats = w.network.faults.stats
+        assert stats.drops == stats.retransmits == 2
+        assert stats.link_failures == 0
+        tx = w.network.nic(0).stats
+        assert tx.tx_messages == 4
+        assert tx.tx_bytes == 2 * HEADER_BYTES + 2 * self.PAYLOAD
+        rx = w.network.nic(1).stats
+        assert (rx.rx_messages, rx.rx_bytes) == (2, HEADER_BYTES + self.PAYLOAD)
+
+    def test_rendezvous_payload_exhausts_its_own_budget(self):
+        # One retry per crossing: the RTS survives one drop, the payload
+        # crossing starts a fresh count and dies on its second drop.
+        w = self._lossy_world([0.0, 0.9, 0.0, 0.0], max_retries=1)
+        w.comm.view(1).irecv(source=0, tag=7)
+        w.comm.view(0).isend(1, tag=7, nbytes=self.PAYLOAD)
+        with pytest.raises(
+            LinkFailure, match=rf"0->1 \({self.PAYLOAD} B\) lost 2 times"
+        ):
+            w.env.run()
+        stats = w.network.faults.stats
+        assert (stats.drops, stats.retransmits, stats.link_failures) == (3, 2, 1)
+
+    def test_lossy_send_still_counts_budget(self):
+        # Every crossing drops and the window outlasts every retry: the
+        # retry budget ends the send.
+        w = self._lossy_world([0.0] * 16, max_retries=3)
+        arrivals(w, [(0, 1)], 1000)
+        with pytest.raises(LinkFailure):
+            w.env.run()
+        assert w.network.faults.stats.link_failures == 1
+        assert w.network.faults.stats.drops == 4  # initial attempt + 3 retries

@@ -5,11 +5,10 @@ OOB and loopback sends, dissemination barriers and alltoallv exchanges.
 Every send and receive completion is stamped ``(env.now, rank, op)`` by a
 callback on its request, so the golden pins the exact simulated instant
 *and* the same-timestamp order of every completion, plus the final NIC
-counters.  Three networks run the script:
+counters.  Two networks run the script:
 
 * ``shared-nic`` — two ranks per adapter, metrics and the invariant
   checker on (their counters and ledgers are part of the golden);
-* ``fabric`` — the same with ``fabric_capacity=2``;
 * ``lossy`` — two loss windows: a mild one that forces retransmissions
   and a harsh one with a one-retry budget that ends the run with a
   :class:`LinkFailure`.
@@ -78,8 +77,7 @@ def make_script(seed: int = 2006) -> tuple:
 def build(name: str):
     """The 8-rank world of one network variant with the script spawned;
     returns ``(world, stamps, checker)``."""
-    fabric = 2 if name == "fabric" else None
-    world = MpiWorld(NRANKS, NetworkConfig(ranks_per_nic=2, fabric_capacity=fabric))
+    world = MpiWorld(NRANKS, NetworkConfig(ranks_per_nic=2))
     env = world.env
     checker = None
     if name == "shared-nic":
@@ -165,12 +163,17 @@ def run_variant(name: str) -> dict:
     return json.loads(json.dumps(out))
 
 
-VARIANTS = ("shared-nic", "fabric", "lossy")
+VARIANTS = ("shared-nic", "lossy")
 
 
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
+
+
+def test_golden_holds_exactly_the_variants(golden):
+    """A case dropped from ``VARIANTS`` must leave the golden file too."""
+    assert sorted(golden) == sorted(VARIANTS)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
