@@ -6,11 +6,11 @@ that proceed *in parallel* (PVFS2 clients talk to all servers directly; no
 single funnel), each paying: client NIC serialization → wire latency →
 server inbound channel → disk service → response latency.
 
-Each server's leg of a sync, and with ``replicas == 1`` each subrequest,
-is a :class:`_ServerRequest` callback machine rather than a process,
-started at the call; the caller waits on a :class:`~repro.sim.Join` of
-them, or on the lone leg of a one-server list-I/O call.  Replica chains
-(``replicas > 1``) run as one helper process per subrequest.
+Each server's leg of a sync, and each subrequest (a replica chain's
+included), is a :class:`_ServerRequest` callback machine rather than a
+process, started at the call; the caller waits on a
+:class:`~repro.sim.Join` of them, or on the lone leg of a one-server
+call.
 
 PVFS2 characteristics modelled faithfully:
 
@@ -542,13 +542,6 @@ class FileSystem:
             # is lost.
             m.inc("mpi.nic_tx_bytes", float(nbytes), nic=nic.nic_id, rank=client)
 
-    def _client_tx(self, client: int, nbytes: int):
-        """Process fragment: :meth:`_client_hold`, then :meth:`_count_tx`."""
-        done, nic = self._client_hold(client, nbytes)
-        yield done
-        if nic is not None:
-            self._count_tx(nic, client, nbytes)
-
     def _list_io(self, client: int, regions: List[Region], is_read: bool):
         """Process fragment: the wire side of a list-I/O call.
 
@@ -556,9 +549,9 @@ class FileSystem:
         offset (the order the server services them) and cut into chunks
         of at most ``listio_max_regions``.  Each chunk is one subrequest
         that carries its byte count; subrequests to distinct servers run
-        concurrently, as :class:`_ServerRequest` machines (as replica
-        chain processes when ``replicas > 1``).  The
-        checker compares the logical total with the sum of the chunk
+        concurrently, as :class:`_ServerRequest` machines, which walk
+        the strip's replica chain when ``replicas > 1``.  The checker
+        compares the logical total with the sum of the chunk
         counts, i.e. with what the mapping actually produced.
         """
         cap = self.config.listio_max_regions
@@ -579,165 +572,12 @@ class FileSystem:
             )
         if not subrequests:
             return
-        if self.nreplicas > 1:
-            make = self._one_replicated_read if is_read else self._one_replicated_write
-            legs = [
-                self.env.process(
-                    make(client, server, chunk, nbytes),
-                    name=f"io-c{client}-s{server.server_id}",
-                )
-                for server, chunk, nbytes in subrequests
-            ]
-        else:
-            kind = _READ if is_read else _WRITE
-            legs = [
-                _ServerRequest(self, client, server, kind, chunk, nbytes)
-                for server, chunk, nbytes in subrequests
-            ]
-        yield legs[0] if len(legs) == 1 else Join(self.env, *legs)
-
-    # -- replicated I/O -----------------------------------------------------
-    def _one_replicated_write(
-        self,
-        client: int,
-        primary: IOServer,
-        phys_regions: List[Region],
-        nbytes: int,
-    ):
-        """Chain-replicated write of one per-server chunk.
-
-        The client streams header+payload to the chain head (the first
-        *live* chain member); each live member store-and-forwards to the
-        next over the server NICs.  The write completes when every live
-        replica has serviced its copy — down-but-alive members are skipped
-        and their copy ledgered for rebuild (degraded mode); dead members
-        are skipped outright.  Liveness is snapshotted when the request is
-        admitted: members that die mid-chain still complete in-flight work,
-        matching the outage model everywhere else.
-        """
-        net = self.config.network
-        header = self.config.request_header_B + 16 * len(phys_regions)
-        chain = self.layout.replica_chain(primary.server_id)
-
-        while True:
-            live = [
-                (slot, self.servers[sid])
-                for slot, sid in enumerate(chain)
-                if self.servers[sid].up
-            ]
-            if live:
-                break
-            yield from self._await_replica_set(chain)
-
-        missed = [
-            (slot, sid)
-            for slot, sid in enumerate(chain)
-            if not self.servers[sid].up and not self.servers[sid].dead
+        kind = _READ if is_read else _WRITE
+        legs = [
+            _ServerRequest(self, client, server, kind, chunk, nbytes)
+            for server, chunk, nbytes in subrequests
         ]
-        ndead = len(chain) - len(live) - len(missed)
-        if missed:
-            for slot, sid in missed:
-                self._ledger_extents(
-                    sid, StripingLayout.replica_regions(phys_regions, slot)
-                )
-            self.fault_stats["degraded_writes"] += 1.0
-            self.fault_stats["degraded_write_bytes"] += float(nbytes * len(missed))
-            m = self.env.metrics
-            if m.enabled:
-                m.inc("pvfs.degraded_writes", 1.0, server=primary.server_id)
-        if ndead:
-            self.fault_stats["dead_replica_skips"] += float(ndead)
-        c = self.env.check
-        if c.enabled:
-            c.replica_write(
-                primary.server_id, nbytes, len(live), len(missed), ndead
-            )
-
-        yield from self._client_tx(client, header + nbytes)
-        yield self.env.timeout(net.latency_s)
-        previous: Optional[IOServer] = None
-        for position, (slot, member) in enumerate(live):
-            if previous is not None:
-                # Store-and-forward hop: the forwarder serializes the copy
-                # out of its NIC before the receiver takes it in.
-                yield previous.net_out.hold(net.serialization_time(header + nbytes))
-                yield self.env.timeout(net.latency_s)
-            yield member.net_in.hold(net.serialization_time(header + nbytes))
-            yield from member.service_write(
-                StripingLayout.replica_regions(phys_regions, slot), is_read=False
-            )
-            if position > 0:
-                member.count_replica_bytes(nbytes)
-            previous = member
-        yield self.env.timeout(net.latency_s)
-
-    def _one_replicated_read(
-        self,
-        client: int,
-        primary: IOServer,
-        phys_regions: List[Region],
-        nbytes: int,
-    ):
-        """Read one chunk from the first clean live replica of the chain.
-
-        A replica is *clean* when none of the requested regions overlap an
-        outstanding missed extent on that server (a degraded write it has
-        not yet rebuilt).  When no clean live replica exists the client
-        backs off with the same bounded exponential policy as outages and
-        rescans — rebuild or restore eventually produces one.
-        """
-        net = self.config.network
-        header = self.config.request_header_B + 16 * len(phys_regions)
-        chain = self.layout.replica_chain(primary.server_id)
-        delay = self.config.retry_initial_s
-
-        while True:
-            choice = None
-            for slot, sid in enumerate(chain):
-                member = self.servers[sid]
-                if not member.up:
-                    continue
-                regions_r = StripingLayout.replica_regions(phys_regions, slot)
-                ledger = self.missed.get(sid)
-                if ledger is not None and ledger.overlaps(regions_r):
-                    continue
-                choice = (slot, member, regions_r)
-                break
-            if choice is not None:
-                break
-            if all(self.servers[sid].dead for sid in chain):
-                raise SimulationError(
-                    f"replica chain {chain} is entirely dead — data lost"
-                )
-            wait, delay = delay, self._retry(delay, chain[0])
-            yield self.env.timeout(wait)
-
-        slot, member, regions_r = choice
-        if slot != 0:
-            self.fault_stats["read_failovers"] += 1.0
-            m = self.env.metrics
-            if m.enabled:
-                m.inc("pvfs.read_failovers", 1.0, server=member.server_id)
-        yield from self._client_tx(client, header)
-        yield self.env.timeout(net.latency_s)
-        yield from member.service_write(regions_r, is_read=True)
-        yield member.net_out.hold(net.serialization_time(nbytes))
-        yield self.env.timeout(net.latency_s)
-
-    def _await_replica_set(self, chain: List[int]):
-        """Process fragment: back off until *any* chain member is live.
-
-        Raises :class:`SimulationError` when every member is permanently
-        dead — the data is gone and stalling forever would just hide it.
-        """
-        delay = self.config.retry_initial_s
-        while not any(self.servers[sid].up for sid in chain):
-            if all(self.servers[sid].dead for sid in chain):
-                raise SimulationError(
-                    f"replica chain {chain} is entirely dead — data lost"
-                )
-            wait, delay = delay, self._retry(delay, chain[0])
-            yield self.env.timeout(wait)
+        yield legs[0] if len(legs) == 1 else Join(self.env, *legs)
 
     def _retry(self, delay: float, server: int) -> float:
         """Count one back-off of ``delay`` seconds, labelled with ``server``,
@@ -767,19 +607,26 @@ _READ, _WRITE, _SYNC = 0, 1, 2
 class _ServerRequest(Event):
     """One server's leg of a list-I/O call or a sync, as callbacks.
 
-    The client side of a ``replicas == 1`` subrequest and every per-server
-    sync leg run here instead of in a generator process.  The first step
-    (the outage check, then the client TX hold or the first back-off)
-    runs in the constructor, at the call, as every send's does (see
-    :class:`~repro.mpi.communicator._Send`).  Each later step is a
-    callback on the event the process would have yielded, scheduled in
-    the order the process scheduled it: the outage back-off timeouts, the
-    client TX hold (NIC stats counted after it), the wire latency, the
-    server's ``net_in`` hold (writes), the server side, the ``net_out``
-    hold (reads), and this event itself, NORMAL, ``latency_s`` after the
-    reply leaves.  The process's start event, the relay timeout of the
-    reply's flight and its completion event are gone; every result stays
-    bit-identical (``docs/MODELING.md`` §1).
+    Every subrequest and every per-server sync leg runs here instead of
+    in a generator process.  The first step (admission, then the client
+    TX hold or the first back-off) runs in the constructor, at the call,
+    as every send's does (see :class:`~repro.mpi.communicator._Send`).
+    Each later step is a callback on the event the process would have
+    yielded, scheduled in the order the process scheduled it: the outage
+    back-off timeouts, the client TX hold (NIC stats counted after it),
+    the wire latency, the server's ``net_in`` hold (writes), the server
+    side, the ``net_out`` hold (reads), and this event itself, NORMAL,
+    ``latency_s`` after the reply leaves.  The process's start event, the
+    relay timeout of the reply's flight and its completion event are
+    gone; every result stays bit-identical (``docs/MODELING.md`` §1).
+
+    Admission picks the members the leg serves, at the call and again
+    after each back-off.  A sync or a one-copy leg serves its server once
+    it is up.  With ``replicas > 1`` a write serves every live member of
+    the strip's chain in chain order, each copy store-and-forwarded from
+    the previous member (its ``net_out`` hold, the wire latency, the next
+    ``net_in`` hold), and a read serves the first clean live member.  A
+    chain whose members are all permanently dead fails this event.
 
     Server side: on a bare server (FIFO, no cache) a leg other than a
     read-ahead read claims the :class:`~repro.pvfs.sched.DiskQueue`,
@@ -794,7 +641,7 @@ class _ServerRequest(Event):
 
     __slots__ = (
         "fs", "client", "server", "kind", "regions", "nbytes", "tx_B",
-        "nic", "delay", "detail", "steps",
+        "nic", "delay", "detail", "steps", "chain", "members", "at",
     )
 
     def __init__(
@@ -820,25 +667,107 @@ class _ServerRequest(Event):
             header += 16 * len(regions)
             # A read sends its header only; the data comes back.
             self.tx_B = header + nbytes if kind == _WRITE else header
+        self.chain = (
+            fs.layout.replica_chain(server.server_id)
+            if kind != _SYNC and fs.nreplicas > 1
+            else None
+        )
+        self.members = None
+        self.delay = fs.config.retry_initial_s
         # The first step runs at the call, so every leg and send a rank
         # issues at one instant reaches its NIC lane in issue order.
-        if server.up:
+        self._admit()
+
+    # -- client: admission, outage back-off, TX, wire -------------------------
+    def _admit(self, _event: Optional[Event] = None) -> None:
+        """Pick the members to serve and transmit, or back off."""
+        chain = self.chain
+        if chain is None:
+            admitted = self.server.up
+        else:
+            members = (
+                self._live_copies() if self.kind == _WRITE else self._clean_copy()
+            )
+            admitted = members is not None
+            if admitted:
+                self.members = members
+                self.at = 0
+                self.server, self.regions = members[0]
+            elif all(self.fs.servers[sid].dead for sid in chain):
+                self.fail(
+                    SimulationError(
+                        f"replica chain {chain} is entirely dead — data lost"
+                    )
+                )
+                return
+        if admitted:
             self._transmit()
         else:
-            self.delay = fs.config.retry_initial_s
             self._back_off()
 
-    # -- client: outage back-off, TX, wire ------------------------------------
+    def _live_copies(self) -> Optional[List[tuple]]:
+        """A replicated write's members: every live one, in chain order.
+
+        Liveness is snapshotted at admission: a member that goes down
+        mid-chain still completes its copy, as in-flight work does
+        everywhere.  A down-but-alive member's copy is ledgered for
+        rebuild (degraded mode); a dead member is skipped outright.
+        """
+        fs = self.fs
+        chain = self.chain
+        live = []
+        missed = []
+        for slot, sid in enumerate(chain):
+            member = fs.servers[sid]
+            copy = StripingLayout.replica_regions(self.regions, slot)
+            if member.up:
+                live.append((member, copy))
+            elif not member.dead:
+                missed.append((sid, copy))
+        if not live:
+            return None
+        ndead = len(chain) - len(live) - len(missed)
+        nbytes = self.nbytes
+        if missed:
+            for sid, copy in missed:
+                fs._ledger_extents(sid, copy)
+            fs.fault_stats["degraded_writes"] += 1.0
+            fs.fault_stats["degraded_write_bytes"] += float(nbytes * len(missed))
+            m = self.env.metrics
+            if m.enabled:
+                m.inc("pvfs.degraded_writes", 1.0, server=chain[0])
+        if ndead:
+            fs.fault_stats["dead_replica_skips"] += float(ndead)
+        c = self.env.check
+        if c.enabled:
+            c.replica_write(chain[0], nbytes, len(live), len(missed), ndead)
+        return live
+
+    def _clean_copy(self) -> Optional[List[tuple]]:
+        """A replicated read's member: the first live one that is clean,
+        i.e. whose missed ledger (degraded writes it has not rebuilt yet)
+        does not overlap the regions."""
+        fs = self.fs
+        for slot, sid in enumerate(self.chain):
+            member = fs.servers[sid]
+            if not member.up:
+                continue
+            regions = StripingLayout.replica_regions(self.regions, slot)
+            ledger = fs.missed.get(sid)
+            if ledger is not None and ledger.overlaps(regions):
+                continue
+            if slot:
+                fs.fault_stats["read_failovers"] += 1.0
+                m = self.env.metrics
+                if m.enabled:
+                    m.inc("pvfs.read_failovers", 1.0, server=sid)
+            return [(member, regions)]
+        return None
+
     def _back_off(self) -> None:
         wait = self.delay
         self.delay = self.fs._retry(wait, self.server.server_id)
-        Timeout(self.env, wait).callbacks.append(self._backed_off)
-
-    def _backed_off(self, _event: Event) -> None:
-        if self.server.up:
-            self._transmit()
-        else:
-            self._back_off()
+        Timeout(self.env, wait).callbacks.append(self._admit)
 
     def _transmit(self) -> None:
         done, self.nic = self.fs._client_hold(self.client, self.tx_B)
@@ -847,6 +776,9 @@ class _ServerRequest(Event):
     def _sent(self, _event: Event) -> None:
         if self.nic is not None:
             self.fs._count_tx(self.nic, self.client, self.tx_B)
+        self._fly(_event)
+
+    def _fly(self, _event: Event) -> None:
         Timeout(self.env, self.fs.config.network.latency_s).callbacks.append(
             self._arrived
         )
@@ -908,17 +840,29 @@ class _ServerRequest(Event):
                 self._served()
                 return
             except Exception as error:
-                self._ok = False
-                self._value = error
-                self.env.schedule(self)
+                self.fail(error)
                 return
             if target.callbacks is not None:
                 target.callbacks.append(self._step)
                 return
             event = target
 
-    # -- reply ----------------------------------------------------------------
+    # -- chain hop, reply ------------------------------------------------------
     def _served(self) -> None:
+        members = self.members
+        if members is not None:
+            at = self.at
+            if at:
+                self.server.count_replica_bytes(self.nbytes)
+            if at + 1 < len(members):
+                # Store-and-forward hop: this member serializes the copy
+                # out of its NIC before the next one takes it in.
+                self.server.net_out.hold(
+                    self.fs.config.network.serialization_time(self.tx_B)
+                ).callbacks.append(self._fly)
+                self.at = at + 1
+                self.server, self.regions = members[at + 1]
+                return
         if self.kind == _READ:
             # The response leaves on the server's *outbound* channel — read
             # replies must not queue behind incoming write payloads on

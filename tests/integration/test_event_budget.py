@@ -83,15 +83,32 @@ def test_rendezvous_send():
 
 
 def test_bare_single_server_write_list():
-    """Client TX hold, wire, ``net_in`` hold, disk service, and the leg,
-    which completes at the end of the reply's flight; the caller waits
-    on the leg itself."""
+    """One copy on one server: client TX hold, wire, ``net_in`` hold, disk
+    service, and the leg, which completes at the end of the reply's
+    flight; the caller waits on the leg itself.
+
+    With ``replicas=2`` on two bare servers the same 4 KiB lands in one
+    leg that walks the chain: client TX hold, wire, the primary's
+    ``net_in`` hold and disk service, its ``net_out`` hold to the
+    secondary, the hop's wire latency, the secondary's ``net_in`` hold
+    and disk service, and the leg.  A read of those bytes is served by
+    the primary alone: client TX hold, wire, disk service, the reply's
+    ``net_out`` hold, and the leg."""
     env = Environment()
     fs = FileSystem(env, PVFSConfig(nservers=1))
     file = created(fs)
     events = wait_on(env, fs.write_list(0, file, [(0, 4 * KIB)]))
     assert events == 5
     assert fs.servers[0].stats.bytes_written == 4 * KIB
+
+    env = Environment()
+    fs = FileSystem(env, PVFSConfig(nservers=2, replicas=2))
+    file = created(fs)
+    assert wait_on(env, fs.write_list(0, file, [(0, 4 * KIB)])) == 9
+    assert [s.stats.bytes_written for s in fs.servers] == [4 * KIB] * 2
+    assert fs.servers[1].stats.replica_bytes == 4 * KIB
+    assert wait_on(env, fs.read_list(0, file, [(0, 4 * KIB)])) == 5
+    assert [s.stats.bytes_read for s in fs.servers] == [4 * KIB, 0]
 
 
 def test_sync_on_two_servers():
@@ -119,41 +136,56 @@ def test_one_rank_reaches_its_nic_in_issue_order(monkeypatch):
     instant a rank's rendezvous RTS, eager payload and PVFS write hold
     its NIC's TX lane in the order the rank issued them.  Were only some
     of them started at the call, those would jump ahead of operations
-    issued earlier (and the benchmark digests would move)."""
-    w = world()
-    env = w.env
-    config = w.config
-    fs = FileSystem(env, PVFSConfig(nservers=1), client_nic=w.network.nic)
-    file = created(fs)
-    tx = w.network.nic(0).tx
+    issued earlier (and the benchmark digests would move).
+
+    Two inputs: the sends, then a one-copy write; and a replicated write
+    (``replicas=2``) first, its fragment stepped to the leg it waits on
+    before the sends are issued, so its chain leg must take the lane
+    first."""
     ended = []
     hold = Lane.hold
 
     def spying_hold(self, seconds):
         done = hold(self, seconds)
-        if self is tx:
-            done.callbacks.append(lambda _e: ended.append((env.now, seconds)))
+        done.callbacks.append(lambda _e: ended.append((self, done.env.now, seconds)))
         return done
 
     monkeypatch.setattr(Lane, "hold", spying_hold)
+    for pvfs, write_first in (
+        (PVFSConfig(nservers=1), False),
+        (PVFSConfig(nservers=2, replicas=2), True),
+    ):
+        w = world()
+        env = w.env
+        config = w.config
+        fs = FileSystem(env, pvfs, client_nic=w.network.nic)
+        file = created(fs)
+        ended.clear()
+        issued = []
 
-    issued = []
+        def rank0():
+            yield env.timeout(1.0)
+            issued.append(env.now)
+            comm = w.comm.view(0)
+            write = fs.write_list(0, file, [(0, 4 * KIB)])
+            leg = next(write) if write_first else None
+            comm.isend(1, tag=1, nbytes=4 * config.eager_threshold_B)
+            comm.isend(1, tag=2, nbytes=1 * KIB)
+            if write_first:
+                yield leg
+            else:
+                yield from write
 
-    def rank0():
-        yield env.timeout(1.0)
-        issued.append(env.now)
-        comm = w.comm.view(0)
-        comm.isend(1, tag=1, nbytes=4 * config.eager_threshold_B)
-        comm.isend(1, tag=2, nbytes=1 * KIB)
-        yield from fs.write(0, file, 0, 4 * KIB)
-
-    env.process(rank0())
-    env.run()
-    rts_s = config.serialization_time(64) + config.cpu_overhead_s
-    eager_s = config.serialization_time(1 * KIB) + config.cpu_overhead_s
-    pvfs_B = fs.config.request_header_B + 16 + 4 * KIB
-    pvfs_s = pvfs_B / fs.config.client_pipeline_Bps + config.cpu_overhead_s
-    assert [seconds for _, seconds in ended] == [rts_s, eager_s, pvfs_s]
-    assert [at for at, _ in ended] == sorted(at for at, _ in ended)
-    # Back to back from the instant of issue: the lane was idle.
-    assert ended[-1][0] == issued[0] + rts_s + eager_s + pvfs_s
+        env.process(rank0())
+        env.run()
+        rts_s = config.serialization_time(64) + config.cpu_overhead_s
+        eager_s = config.serialization_time(1 * KIB) + config.cpu_overhead_s
+        pvfs_B = pvfs.request_header_B + 16 + 4 * KIB
+        pvfs_s = pvfs_B / pvfs.client_pipeline_Bps + config.cpu_overhead_s
+        order = [pvfs_s, rts_s, eager_s] if write_first else [rts_s, eager_s, pvfs_s]
+        tx = w.network.nic(0).tx
+        holds = [(at, seconds) for lane, at, seconds in ended if lane is tx]
+        assert [seconds for _, seconds in holds] == order
+        assert [at for at, _ in holds] == sorted(at for at, _ in holds)
+        # Back to back from the instant of issue: the lane was idle.
+        assert holds[-1][0] == sum(order, issued[0])

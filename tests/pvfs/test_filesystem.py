@@ -202,11 +202,9 @@ class TestServerRequestLegs:
     @pytest.mark.parametrize(
         "strategy,replicas", [("ww-list", 1), ("ww-posix", 1), ("ww-list", 2)]
     )
-    def test_only_replica_chains_start_leg_processes(
-        self, monkeypatch, strategy, replicas
-    ):
-        """Per-server legs of list I/O and syncs are callback machines;
-        only ``replicas > 1`` chains still start ``io-c*`` processes."""
+    def test_no_leg_starts_a_process(self, monkeypatch, strategy, replicas):
+        """Per-server legs of list I/O, replica chains included, and syncs
+        are callback machines: the ranks are the only processes."""
         names = []
         init = Process.__init__
 
@@ -218,9 +216,7 @@ class TestServerRequestLegs:
         cfg = SimulationConfig(strategy=strategy, nprocs=4, nqueries=2, nfragments=4)
         cfg = cfg.with_(pvfs=replace(cfg.pvfs, replicas=replicas))
         assert S3aSim(cfg).run().file_stats.complete
-        assert not [n for n in names if n.startswith("sync-s")]
-        chains = [n for n in names if n.startswith("io-c")]
-        assert bool(chains) == (replicas > 1)
+        assert sorted(names) == [f"rank-{rank}" for rank in range(4)]
 
     @pytest.mark.parametrize("disk_sched", ["fifo", "elevator"])
     def test_server_side_failure_reaches_the_caller(self, disk_sched):

@@ -301,15 +301,20 @@ class TestServerKill:
         assert fs.fault_stats["degraded_writes"] == 0.0  # dead != degraded
         assert 1 not in fs.missed  # nothing ledgered for a corpse
 
-    def test_fully_dead_chain_raises(self):
+    @pytest.mark.parametrize("op", ["write", "read"])
+    def test_fully_dead_chain_raises(self, op):
+        """With every chain member permanently dead a write has nowhere to
+        land and a read nothing to read: either fails the caller."""
         env = Environment()
         fs = make_fs(env, nservers=2, replicas=2)
-        fs.kill_server(0)
-        fs.kill_server(1)
 
         def proc():
             f = yield from fs.open(0, "/a")
-            yield from fs.write(0, f, 0, 64 * KIB)
+            if op == "read":
+                yield from fs.write(0, f, 0, 64 * KIB)
+            fs.kill_server(0)
+            fs.kill_server(1)
+            yield from getattr(fs, op)(0, f, 0, 64 * KIB)
 
         with pytest.raises(SimulationError, match="entirely dead"):
             run(env, proc())
