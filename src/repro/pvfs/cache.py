@@ -7,7 +7,8 @@ runs at flush time.  That staging is what softens the WW-POSIX penalty
 (thousands of tiny interleaved regions) relative to list I/O — the server
 merges what the client failed to.
 
-Model:
+Model (every step a callback: :meth:`~WriteBackCache.absorb` and
+:meth:`~WriteBackCache.flush` call ``then()`` when done):
 
 * :meth:`WriteBackCache.absorb` accepts a write's regions at memory
   speed (``mem_Bps`` plus a per-region copy overhead) and merges them
@@ -19,20 +20,24 @@ Model:
 * Flush triggers: ``sync`` (client called MPI_File_sync — the flush
   completes *before* the sync cost is paid), high watermark (dirty bytes
   crossed ``watermark × capacity``; background), idle timeout (no new
-  write for ``idle_flush_s``; background), and capacity (an absorb that
-  would overflow the buffer flushes synchronously first — the client
-  stalls, exactly the back-pressure a full daemon cache applied).
-* Reads fully covered by dirty extents are served from memory
-  (:meth:`read_split`) — this is what lets data-sieving pre-reads hit
-  data that never reached the platter.
+  write for ``idle_flush_s``; background, a chain of timeouts while
+  anything is dirty), and capacity (an absorb that would overflow the
+  buffer flushes synchronously first — the client stalls, exactly the
+  back-pressure a full daemon cache applied).  Background flushes start
+  at the write that triggers them.
+* Reads fully covered by one dirty extent are served from memory (the
+  owning server splits them off) — this is what lets data-sieving
+  pre-reads hit data that never reached the platter.  Partial coverage
+  goes to disk whole, as the daemon would rather issue one disk read
+  than stitch a response from two sources.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from ..sim import Resource
-from .extents import add, split
+from ..sim import Event, Request, Resource, Timeout
+from .extents import add
 
 if TYPE_CHECKING:  # pragma: no cover
     from .server import IOServer
@@ -75,7 +80,7 @@ class WriteBackCache:
         # One flush at a time; sync waits on an in-flight background flush
         # through this lock, which is what orders flush-before-sync.
         self._flush_lock = Resource(server.env, capacity=1)
-        self._idle_watcher = None
+        self._watching = False
         self._last_write = 0.0
         # Counters (mirrored into the obs registry by the server).
         self.read_hits = 0
@@ -96,15 +101,23 @@ class WriteBackCache:
         return ABSORB_REGION_S * nregions + nbytes / self.mem_Bps
 
     # -- write path ---------------------------------------------------------
-    def absorb(self, regions: Sequence[Tuple[int, int]]):
-        """Process fragment: accept a write's regions into the buffer."""
+    def absorb(self, regions: Sequence[Tuple[int, int]], then: Callable) -> None:
+        """Accept a write's regions into the buffer, then call ``then()``."""
         live = [(o, l) for o, l in regions if l > 0]
         nbytes = sum(l for _, l in live)
         if self.dirty_bytes + nbytes > self.capacity_B:
             # Back-pressure: the buffer cannot hold this write, so the
             # client stalls behind a synchronous flush.
-            yield from self.flush()
-        yield self.env.timeout(self.memory_time(len(live), nbytes))
+            self.flush(lambda: self._copy_in(live, nbytes, then))
+        else:
+            self._copy_in(live, nbytes, then)
+
+    def _copy_in(self, live: List[Tuple[int, int]], nbytes: int, then) -> None:
+        Timeout(self.env, self.memory_time(len(live), nbytes)).callbacks.append(
+            lambda _event: self._absorbed(live, nbytes, then)
+        )
+
+    def _absorbed(self, live: List[Tuple[int, int]], nbytes: int, then) -> None:
         dirty_before = self.dirty_bytes
         for offset, length in live:
             self.dirty_bytes += add(self.dirty_runs, offset, offset + length)
@@ -123,49 +136,38 @@ class WriteBackCache:
             )
             c.cache_state(server.server_id, self.dirty_runs, self.dirty_bytes)
         if self.dirty_bytes >= self.watermark_B:
-            self.env.process(
-                self.flush(), name=f"flush-wm-s{server.server_id}"
-            )
-        elif self.dirty_bytes and self._idle_watcher is None:
-            self._idle_watcher = self.env.process(
-                self._watch_idle(), name=f"flush-idle-s{server.server_id}"
-            )
-
-    # -- read path ----------------------------------------------------------
-    def read_split(self, regions: Sequence[Tuple[int, int]]):
-        """Split a read into (hit_regions, miss_regions).
-
-        A region is a hit only when one dirty run covers it entirely —
-        partial coverage goes to disk whole, as the daemon would rather
-        issue one disk read than stitch a response from two sources.
-        """
-        return split(self.dirty_runs, regions)
+            self.flush(lambda: None)  # background: nobody waits on it
+        elif self.dirty_bytes and not self._watching:
+            self._watching = True
+            self._watch_idle()
+        then()
 
     # -- flushing -----------------------------------------------------------
-    def flush(self):
-        """Process fragment: push every dirty extent to the disk.
+    def flush(self, then: Callable) -> None:
+        """Push every dirty extent to the disk, then call ``then()``.
 
-        Serialized by the flush lock; returns once data queued *before
-        entry* is on the platter (an in-flight flush is waited out, then
+        Serialized by the flush lock; calls back once data queued *before
+        the call* is on the platter (an in-flight flush is waited out, then
         any remainder is flushed).
         """
-        with self._flush_lock.request() as slot:
-            yield slot
-            if not self.dirty_runs:
-                return
-            runs, self.dirty_runs = self.dirty_runs, []
-            nbytes, self.dirty_bytes = self.dirty_bytes, 0
-            server = self.server
-            c = self.env.check
-            if c.enabled:
-                c.cache_flush(server.server_id, runs, nbytes)
-                c.cache_state(
-                    server.server_id, self.dirty_runs, self.dirty_bytes
-                )
-            start = self.env.now
-            yield from server._acquire_and_service(
-                [(lo, hi - lo) for lo, hi in runs], is_read=False
-            )
+        slot = self._flush_lock.request()
+        slot.callbacks.append(lambda _event: self._flush_granted(slot, then))
+
+    def _flush_granted(self, slot: Request, then) -> None:
+        if not self.dirty_runs:
+            self._flush_lock.release(slot)
+            then()
+            return
+        runs, self.dirty_runs = self.dirty_runs, []
+        nbytes, self.dirty_bytes = self.dirty_bytes, 0
+        server = self.server
+        c = self.env.check
+        if c.enabled:
+            c.cache_flush(server.server_id, runs, nbytes)
+            c.cache_state(server.server_id, self.dirty_runs, self.dirty_bytes)
+        start = self.env.now
+
+        def flushed() -> None:
             self.flushes += 1
             self.flushed_bytes += nbytes
             if server._m_enabled:
@@ -176,6 +178,10 @@ class WriteBackCache:
                 server.recorder.record(
                     -(server.server_id + 1), "server_flush", start, self.env.now
                 )
+            self._flush_lock.release(slot)
+            then()
+
+        server._claim_disk([(lo, hi - lo) for lo, hi in runs], False, flushed)
 
     def drop_dirty(self) -> List[Tuple[int, int]]:
         """Discard every dirty extent without flushing (server crash).
@@ -192,14 +198,16 @@ class WriteBackCache:
         self.dirty_bytes = 0
         return dropped
 
-    def _watch_idle(self):
-        """Process fragment: flush once writes stop arriving."""
-        try:
-            while self.dirty_bytes:
-                wake_at = self._last_write + self.idle_flush_s
-                if self.env.now >= wake_at:
-                    yield from self.flush()
-                else:
-                    yield self.env.timeout(wake_at - self.env.now)
-        finally:
-            self._idle_watcher = None
+    def _watch_idle(self, _event: Optional[Event] = None) -> None:
+        """Flush once writes stop arriving: a chain of timeouts (and
+        flushes) that ends when nothing is dirty."""
+        if not self.dirty_bytes:
+            self._watching = False
+            return
+        wake_at = self._last_write + self.idle_flush_s
+        if self.env.now >= wake_at:
+            self.flush(self._watch_idle)
+        else:
+            Timeout(self.env, wake_at - self.env.now).callbacks.append(
+                self._watch_idle
+            )

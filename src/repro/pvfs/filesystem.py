@@ -10,7 +10,9 @@ Each server's leg of a sync, and each subrequest (a replica chain's
 included), is a :class:`_ServerRequest` callback machine rather than a
 process, started at the call; the caller waits on a
 :class:`~repro.sim.Join` of them, or on the lone leg of a one-server
-call.
+call.  The server side of a leg is :class:`~repro.pvfs.server.IOServer`'s
+callback stack, and a background rebuild is a chain of callbacks too:
+no process is started here.
 
 PVFS2 characteristics modelled faithfully:
 
@@ -350,9 +352,7 @@ class FileSystem:
         if ledger is not None and not ledger.empty:
             if server_id not in self._rebuild_active:
                 self._rebuild_active.add(server_id)
-                self.env.process(
-                    self._rebuild(server), name=f"rebuild-s{server_id}"
-                )
+                self._rebuild(server)
 
     def _ledger_extents(self, server_id: int, regions: List[Region]) -> None:
         """Record regions acked-but-not-durable on ``server_id``."""
@@ -368,8 +368,8 @@ class FileSystem:
             if c.enabled:
                 c.replica_missed(server_id, grown)
 
-    def _rebuild(self, server: IOServer):
-        """Process fragment: close ``server``'s durability gap in the background.
+    def _rebuild(self, server: IOServer) -> None:
+        """Close ``server``'s durability gap in the background, as callbacks.
 
         Missed extents drain in rate-limited chunks — each chunk pays a
         transfer delay (peer pull for replica copies, client re-send for
@@ -380,34 +380,49 @@ class FileSystem:
         sid = server.server_id
         ledger = self.missed[sid]
         cfg = self.config
-        started = self.env.now
+        env = self.env
+        started = env.now
         moved = 0
         self.fault_stats["rebuilds"] += 1.0
-        c = self.env.check
-        while server.up and not ledger.empty:
-            chunk = ledger.drain(cfg.rebuild_chunk_B)
-            nbytes = sum(length for _, length in chunk)
-            yield self.env.timeout(nbytes / cfg.rebuild_Bps)
-            if not server.up:
-                ledger.requeue(chunk)
-                if server.dead:
-                    # Killed mid-rebuild: the kill already abandoned the
-                    # ledger, so the requeued in-flight chunk follows it.
-                    dropped = ledger.abandon()
-                    if dropped:
-                        self.fault_stats["abandoned_bytes"] += dropped
-                        if c.enabled:
-                            c.server_dead(sid, dropped)
-                break
-            yield from server.service_rebuild(chunk)
+        c = env.check
+
+        def next_chunk() -> None:
+            if server.up and not ledger.empty:
+                chunk = ledger.drain(cfg.rebuild_chunk_B)
+                nbytes = sum(length for _, length in chunk)
+                Timeout(env, nbytes / cfg.rebuild_Bps).callbacks.append(
+                    lambda _event: pulled(chunk, nbytes)
+                )
+                return
+            self._rebuild_active.discard(sid)
+            if moved and self.recorder is not None:
+                self.recorder.record(-(sid + 1), "server_rebuild", started, env.now)
+
+        def pulled(chunk: List[Region], nbytes: int) -> None:
+            if server.up:
+                server.rebuild(chunk, lambda: landed(nbytes))
+                return
+            ledger.requeue(chunk)
+            if server.dead:
+                # Killed mid-rebuild: the kill already abandoned the
+                # ledger, so the requeued in-flight chunk follows it.
+                dropped = ledger.abandon()
+                if dropped:
+                    self.fault_stats["abandoned_bytes"] += dropped
+                    if c.enabled:
+                        c.server_dead(sid, dropped)
+            next_chunk()  # the server is down: the rebuild stops
+
+        def landed(nbytes: int) -> None:
+            nonlocal moved
             ledger.mark_rebuilt(nbytes)
             moved += nbytes
             self.fault_stats["rebuild_bytes"] += nbytes
             if c.enabled:
                 c.replica_rebuilt(sid, nbytes)
-        self._rebuild_active.discard(sid)
-        if moved and self.recorder is not None:
-            self.recorder.record(-(sid + 1), "server_rebuild", started, self.env.now)
+            next_chunk()
+
+        next_chunk()
 
     # -- namespace ------------------------------------------------------------
     def open(self, client: int, path: str, create: bool = True):
@@ -628,20 +643,15 @@ class _ServerRequest(Event):
     ``net_in`` hold), and a read serves the first clean live member.  A
     chain whose members are all permanently dead fails this event.
 
-    Server side: on a bare server (FIFO, no cache) a leg other than a
-    read-ahead read claims the :class:`~repro.pvfs.sched.DiskQueue`,
-    which starts its service, priced from the head and disk model of that
-    instant, as soon as the disk is free; the service timeout, the
-    accounting and the release are callbacks too.  Any other stack runs
-    :meth:`IOServer.service_write` / :meth:`IOServer.service_sync` as a
-    generator stepped in place, as the process did with ``yield from``;
-    an exception out of it fails this event where the process would have
-    died.
+    Server side: :meth:`IOServer.sync` for a sync and
+    :meth:`IOServer.serve` for anything else, each calling back
+    :meth:`_served` when the member is done.  An exception raised there
+    leaves ``env.run()`` at the instant it is raised.
     """
 
     __slots__ = (
         "fs", "client", "server", "kind", "regions", "nbytes", "tx_B",
-        "nic", "delay", "detail", "steps", "chain", "members", "at",
+        "nic", "delay", "chain", "members", "at",
     )
 
     def __init__(
@@ -793,59 +803,10 @@ class _ServerRequest(Event):
 
     # -- server ---------------------------------------------------------------
     def _serve(self, _event: Event) -> None:
-        server = self.server
-        kind = self.kind
-        if server.bare and not (kind == _READ and server.readahead_B):
-            if kind == _WRITE:
-                server._write_in(self.regions, self.nbytes)
-            server.disk_queue.claim(self._granted)
-            return
-        if kind == _SYNC:
-            self.steps = server.service_sync()
-        else:
-            self.steps = server.service_write(self.regions, is_read=kind == _READ)
-        self._step(None)
-
-    def _granted(self) -> None:
-        server = self.server
         if self.kind == _SYNC:
-            seconds = server.disk.sync_time()
+            self.server.sync(self._served)
         else:
-            self.detail = server._disk_begin(self.regions)
-            seconds = self.detail.seconds
-        Timeout(self.env, seconds).callbacks.append(self._serviced)
-
-    def _serviced(self, event: Event) -> None:
-        server = self.server
-        if self.kind == _SYNC:
-            server._sync_serviced(event.delay)
-        else:
-            server._disk_serviced(self.regions, self.kind == _READ, self.detail)
-        server.disk_queue.release(server.head_position)
-        self._served()
-
-    def _step(self, event: Optional[Event]) -> None:
-        """Advance the server-side generator, as a process resume would."""
-        steps = self.steps
-        while True:
-            try:
-                if event is None:
-                    target = steps.send(None)
-                elif event._ok:
-                    target = steps.send(event._value)
-                else:
-                    event._defused = True
-                    target = steps.throw(event._value)
-            except StopIteration:
-                self._served()
-                return
-            except Exception as error:
-                self.fail(error)
-                return
-            if target.callbacks is not None:
-                target.callbacks.append(self._step)
-                return
-            event = target
+            self.server.serve(self.regions, self.kind == _READ, self._served)
 
     # -- chain hop, reply ------------------------------------------------------
     def _served(self) -> None:

@@ -28,12 +28,9 @@ still waiting when it becomes overdue — the property test in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from ..sim import Event, SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim import Environment
+from ..sim import SimulationError
 
 #: Scheduler names accepted by ``PVFSConfig.disk_sched``.
 SCHEDULERS = ("fifo", "elevator")
@@ -76,29 +73,14 @@ class DiskQueue:
     ``claim(start, offset)`` calls ``start()`` at once when the disk is
     free and queues it otherwise; ``release(head)`` grants a waiter at
     the release instant.  So a waiter prices its service when the disk is
-    granted, from the head and disk model of that instant, without a
-    grant event.  The elevator chooses at release time too: it sees every
-    request that queued while the disk was busy plus the head position the
-    finished request left behind, which is exactly the information the
-    daemon's elevator had.
-
-    A process fragment waits on :meth:`grant` instead, an event succeeded
-    when its claim is granted, and passes it to :meth:`release`::
-
-        grant = queue.grant(first_offset)
-        try:
-            yield grant
-            ... service, updating head ...
-        finally:
-            queue.release(new_head, grant)
-
-    A fragment that unwinds while its grant is still queued withdraws it.
+    granted, from the head and disk model of that instant.  The elevator
+    chooses at release time too: it sees every request that queued while
+    the disk was busy plus the head position the finished request left
+    behind, which is exactly the information the daemon's elevator had.
+    Every claim runs to its release: no waiter leaves the queue early.
     """
 
-    def __init__(
-        self, env: "Environment", elevator: Optional[ElevatorPolicy] = None
-    ) -> None:
-        self.env = env
+    def __init__(self, elevator: Optional[ElevatorPolicy] = None) -> None:
         self.elevator = elevator
         self.waiting: List[QueuedRequest] = []
         self.busy = False
@@ -124,22 +106,9 @@ class DiskQueue:
             self.busy = True
             start()
 
-    def grant(self, offset: int = 0) -> Event:
-        """An event succeeded once the disk is granted (see :meth:`claim`)."""
-        event = Event(self.env)
-        self.claim(event.succeed, offset)
-        return event
-
-    def release(self, head: int, grant: Optional[Event] = None) -> None:
-        """Finish service at ``head`` and grant the next waiter; a ``grant``
-        still queued just leaves the queue."""
+    def release(self, head: int) -> None:
+        """Finish service at ``head`` and grant the next waiter."""
         waiting = self.waiting
-        if grant is not None and not grant.triggered:
-            start = grant.succeed
-            for index, waiter in enumerate(waiting):
-                if waiter.start == start:
-                    del waiting[index]
-                    return
         if not waiting:
             if not self.busy:
                 raise SimulationError("DiskQueue.release without a matching claim")

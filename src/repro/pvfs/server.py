@@ -14,6 +14,14 @@ order of an optional elevator.  A
 :class:`~repro.pvfs.cache.WriteBackCache` optionally fronts it.  A
 *bare* server (FIFO, cache off) is the default configuration.
 
+The stack is written once, as callbacks: :meth:`IOServer.serve`,
+:meth:`IOServer.sync` and :meth:`IOServer.rebuild` take a ``then``
+callable and call it when they are done, and every disk access (a
+leg's service, a read-ahead prefetch, a cache flush, a rebuild chunk, a
+sync) goes through :meth:`IOServer._claim_disk`.  No process and no
+generator runs on the server side; an exception raised in the stack
+leaves ``env.run()`` at the instant it is raised.
+
 The metadata server serves open/create/resize ops with a fixed cost on
 one lane.
 """
@@ -21,15 +29,18 @@ one lane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim import Environment, Event, Lane
+from ..sim import Environment, Event, Lane, Timeout
 from . import extents
 from .cache import ABSORB_REGION_S, WriteBackCache
 from .disk import DiskModel, ServiceDetail
 from .sched import SCHEDULERS, DiskQueue, ElevatorPolicy
 
 MIB = 1024 * 1024
+
+Regions = List[Tuple[int, int]]
 
 
 @dataclass
@@ -90,7 +101,7 @@ class IOServer:
                 f"unknown disk scheduler {sched!r}; choose from {SCHEDULERS}"
             )
         self.disk_queue = DiskQueue(
-            env, ElevatorPolicy(sched_aging) if sched == "elevator" else None
+            ElevatorPolicy(sched_aging) if sched == "elevator" else None
         )
         self.head_position = 0
         self.stats = ServerStats()
@@ -114,9 +125,10 @@ class IOServer:
             if cache_B > 0
             else None
         )
-        #: FIFO and no cache: the request path's callback fast path serves
-        #: such a server (``_ServerRequest``), its load signal counts
-        #: waiting claims only, and it observes no queue-depth histogram.
+        #: FIFO and no cache: a disk claim starts its service inside the
+        #: grant, with no grant event (see ``_claim_disk``), the load
+        #: signal counts waiting claims only, and no queue-depth histogram
+        #: is observed.
         self.bare = self.disk_queue.elevator is None and self.cache is None
         # Sequential-detection read-ahead (off at 0 — zero new events, the
         # seed's request path exactly).  ``_ra_runs`` holds the *clean*
@@ -127,7 +139,7 @@ class IOServer:
         # extents it may store when its read lands; writes and ``fail()``
         # shrink those too, so a prefetch never stores what they outdated.
         self.readahead_B = readahead_B
-        self._ra_mem_Bps = cache_mem_Bps
+        self._mem_Bps = cache_mem_Bps
         self._ra_next = 0
         self._ra_runs: List[Tuple[int, int]] = []
         self._ra_inflight: Dict[int, List[Tuple[int, int]]] = {}
@@ -236,15 +248,58 @@ class IOServer:
         self._ra_next = 0
         self.disk_queue.reset()
 
-    def _disk_begin(self, regions: List[Tuple[int, int]]) -> ServiceDetail:
-        """Price ``regions`` from the current head and move the head there;
-        the disk must be held."""
-        detail = self.disk.service_detail(regions, self.head_position)
-        self.head_position = detail.new_head
-        return detail
+    def _claim_disk(self, regions: Optional[Regions], is_read: bool, then) -> None:
+        """Service ``regions`` on the disk (a sync when ``None``), then call
+        ``then()``; every disk access of the stack comes through here.
+
+        The claim queues at the first region's offset (the head for a
+        sync), which orders an elevator's grant.  A stacked server
+        observes the queue depth it joins."""
+        start = partial(self._disk_granted, regions, is_read, then)
+        if regions is None:
+            offset = self.head_position
+        else:
+            if self._m_enabled and not self.bare:
+                self._h_queue_depth.observe(float(self.disk_queue.depth))
+            offset = regions[0][0] if regions else self.head_position
+        if self.bare:
+            self.disk_queue.claim(start, offset)
+            return
+        # A stacked server prices its service when a grant event is
+        # processed, later in the granting instant: the service timeout
+        # draws its queue id there, and same-instant ties are ordered as
+        # the golden suites pin them.
+        grant = Event(self.env)
+        grant.callbacks.append(start)
+        self.disk_queue.claim(grant.succeed, offset)
+
+    def _disk_granted(
+        self, regions: Optional[Regions], is_read: bool, then, _grant=None
+    ) -> None:
+        """The disk is ours: price the service from the head and disk model
+        of this instant, move the head, and hold the disk that long."""
+        if regions is None:
+            detail = None
+            seconds = self.disk.sync_time()
+        else:
+            detail = self.disk.service_detail(regions, self.head_position)
+            self.head_position = detail.new_head
+            seconds = detail.seconds
+        Timeout(self.env, seconds).callbacks.append(
+            partial(self._disk_done, regions, is_read, detail, then)
+        )
+
+    def _disk_done(self, regions, is_read: bool, detail, then, event: Event) -> None:
+        """Account the service, release the disk and call ``then()``."""
+        if regions is None:
+            self._sync_serviced(event.delay)
+        else:
+            self._disk_serviced(regions, is_read, detail)
+        self.disk_queue.release(self.head_position)
+        then()
 
     def _disk_serviced(
-        self, regions: List[Tuple[int, int]], is_read: bool, detail: ServiceDetail
+        self, regions: Regions, is_read: bool, detail: ServiceDetail
     ) -> None:
         """Account a disk service once its time has passed."""
         if not is_read:
@@ -277,105 +332,105 @@ class IOServer:
             self._h_regions.observe(detail.regions)
             self._h_service.observe(detail.seconds)
 
-    def _disk_service(self, regions: List[Tuple[int, int]], is_read: bool):
-        """Process fragment: service ``regions``; the disk must be held."""
-        detail = self._disk_begin(regions)
-        yield self.env.timeout(detail.seconds)
-        self._disk_serviced(regions, is_read, detail)
+    def _sync_serviced(self, seconds: float) -> None:
+        """Account a sync once its ``seconds`` on the disk have passed."""
+        self.stats.syncs += 1
+        self.stats.busy_s += seconds
+        if self._m_enabled:
+            self._c_syncs.add()
 
-    def _holding_disk(self, first_offset: int, service):
-        """Process fragment: run the ``service`` fragment holding the disk;
-        ``first_offset`` orders an elevator's grant."""
-        grant = self.disk_queue.grant(first_offset)
-        try:
-            yield grant
-            yield from service
-        finally:
-            self.disk_queue.release(self.head_position, grant)
-
-    def _acquire_and_service(self, regions: List[Tuple[int, int]], is_read: bool):
-        """Process fragment: take the disk, then service."""
-        if self._m_enabled and not self.bare:
-            self._h_queue_depth.observe(float(self.disk_queue.depth))
-        first_offset = regions[0][0] if regions else self.head_position
-        yield from self._holding_disk(
-            first_offset, self._disk_service(regions, is_read)
-        )
-
-    def _write_in(self, regions: List[Tuple[int, int]], nbytes: int) -> None:
-        """A write's ``nbytes`` in ``regions`` have crossed ``net_in``:
-        check them in and drop the prefetched extents they outdate."""
+    def _write_in(self, regions: Regions) -> None:
+        """A write's ``regions`` have crossed ``net_in``: check their bytes
+        in and drop the prefetched extents they outdate."""
         c = self.env.check
         if c.enabled:
-            c.server_write_in(self.server_id, nbytes)
+            c.server_write_in(self.server_id, sum(length for _, length in regions))
         if self._ra_runs or self._ra_inflight:
             self._ra_invalidate(regions)
 
-    def service_write(self, regions: List[Tuple[int, int]], is_read: bool = False):
-        """Process fragment: service ``regions`` through the I/O stack.
+    def serve(self, regions: Regions, is_read: bool, then: Callable) -> None:
+        """Service a leg's ``regions`` through the I/O stack, then call
+        ``then()``.
 
-        Must be entered after the request's bytes have crossed ``net_in``.
-        Writes land in the write-back cache when one is configured; reads
-        fully covered by dirty extents are served from memory.  Dirty-run
-        hits are checked *before* the read-ahead store: the cache holds the
+        Called once the request's bytes have crossed ``net_in``.  Writes
+        land in the write-back cache when one is configured; reads fully
+        covered by dirty extents are served from memory.  Dirty-run hits
+        are checked *before* the read-ahead store: the cache holds the
         freshest bytes, and a write invalidates any overlapping prefetched
         extent, so a read can never be answered from pre-flush disk state.
         """
-        if not is_read:
-            self._write_in(regions, sum(length for _, length in regions))
-        span = extents.span(regions) if is_read and self.readahead_B else None
         cache = self.cache
-        if cache is not None:
-            if not is_read:
-                yield from cache.absorb(regions)
-                # A prefetch that read these extents while the write was
-                # still being copied in holds pre-write bytes.
-                if self._ra_runs or self._ra_inflight:
-                    self._ra_invalidate(regions)
+        if not is_read:
+            self._write_in(regions)
+            if cache is not None:
+                cache.absorb(regions, lambda: self._absorbed(regions, then))
                 return
-            hits, regions = cache.read_split(regions)
-            if hits:
-                hit_bytes = sum(length for _, length in hits)
-                yield self.env.timeout(cache.memory_time(len(hits), hit_bytes))
-                cache.read_hits += len(hits)
-                self.stats.bytes_read += hit_bytes
+        elif cache is not None or self.readahead_B:
+            span = extents.span(regions) if self.readahead_B else None
+            if span is not None:
+                done = then
+                then = lambda: self._ra_after_read(span[0], span[1], done)
+            if cache is None:
+                self._read_uncached(regions, then)
+                return
+            hits, regions = extents.split(cache.dirty_runs, regions)
+
+            def missed() -> None:
+                if not regions:
+                    then()
+                    return
+                cache.read_misses += len(regions)
                 if self._m_enabled:
-                    self._c_cache_hits.add(len(hits))
-                    self._c_bytes_read.add(hit_bytes)
-            if not regions:
-                if span is not None:
-                    yield from self._ra_after_read(*span)
-                return
-            cache.read_misses += len(regions)
+                    self._c_cache_misses.add(len(regions))
+                self._read_uncached(regions, then)
+
+            self._from_memory(hits, True, missed)
+            return
+        self._claim_disk(regions, is_read, then)
+
+    def _absorbed(self, regions: Regions, then) -> None:
+        # A prefetch that read these extents while the write was still
+        # being copied in holds pre-write bytes.
+        if self._ra_runs or self._ra_inflight:
+            self._ra_invalidate(regions)
+        then()
+
+    def _read_uncached(self, regions: Regions, then) -> None:
+        """A read past the cache: read-ahead hits, then the disk."""
+        if not self.readahead_B:
+            self._claim_disk(regions, True, then)
+            return
+        hits, regions = extents.split(self._ra_runs, regions)
+        self._from_memory(
+            hits,
+            False,
+            lambda: self._claim_disk(regions, True, then) if regions else then(),
+        )
+
+    def _from_memory(self, hits: Regions, cached: bool, then) -> None:
+        """Copy read ``hits`` (dirty-run hits when ``cached``, read-ahead
+        hits otherwise) out of memory, count them, then call ``then()``."""
+        if not hits:
+            then()
+            return
+        nbytes = sum(length for _, length in hits)
+
+        def copied(_event: Event) -> None:
+            if cached:
+                self.cache.read_hits += len(hits)
+            else:
+                self.stats.readahead_hits += len(hits)
+            self.stats.bytes_read += nbytes
             if self._m_enabled:
-                self._c_cache_misses.add(len(regions))
-        if is_read and self.readahead_B:
-            ra_hits, regions = extents.split(self._ra_runs, regions)
-            if ra_hits:
-                hit_bytes = sum(length for _, length in ra_hits)
-                yield self.env.timeout(
-                    self._ra_memory_time(len(ra_hits), hit_bytes)
-                )
-                self.stats.readahead_hits += len(ra_hits)
-                self.stats.bytes_read += hit_bytes
-                if self._m_enabled:
-                    self._c_ra_hits.add(len(ra_hits))
-                    self._c_bytes_read.add(hit_bytes)
-            if not regions:
-                if span is not None:
-                    yield from self._ra_after_read(*span)
-                return
-        yield from self._acquire_and_service(regions, is_read)
-        if span is not None:
-            yield from self._ra_after_read(*span)
+                (self._c_cache_hits if cached else self._c_ra_hits).add(len(hits))
+                self._c_bytes_read.add(nbytes)
+            then()
+
+        seconds = ABSORB_REGION_S * len(hits) + nbytes / self._mem_Bps
+        Timeout(self.env, seconds).callbacks.append(copied)
 
     # -- sequential read-ahead ----------------------------------------------
-    def _ra_memory_time(self, nregions: int, nbytes: int) -> float:
-        return ABSORB_REGION_S * nregions + nbytes / self._ra_mem_Bps
-
-    def _ra_invalidate(
-        self, regions: List[Tuple[int, int]], inflight: bool = True
-    ) -> None:
+    def _ra_invalidate(self, regions: Regions, inflight: bool = True) -> None:
         """Drop prefetched extents overlapping a write (now stale).
 
         With ``inflight``, prefetches still waiting for or holding the disk
@@ -409,8 +464,8 @@ class IOServer:
             clipped.extend(extents.gaps(dirty, g_lo, g_hi))
         return clipped
 
-    def _ra_after_read(self, lo: int, hi: int):
-        """Process fragment: sequential detection + prefetch after a read.
+    def _ra_after_read(self, lo: int, hi: int, then) -> None:
+        """Sequential detection + prefetch after a read, then ``then()``.
 
         A read starting exactly where the previous one ended continues a
         sequential stream; the next ``readahead_B`` bytes are pulled
@@ -421,26 +476,26 @@ class IOServer:
         """
         sequential = lo == self._ra_next
         self._ra_next = hi
-        if not sequential:
-            return
-        gaps = self._ra_gaps(hi, hi + self.readahead_B)
+        gaps = self._ra_gaps(hi, hi + self.readahead_B) if sequential else None
         if not gaps:
+            then()
             return
         nbytes = sum(g_hi - g_lo for g_lo, g_hi in gaps)
-        regions = [(g_lo, g_hi - g_lo) for g_lo, g_hi in gaps]
         self._ra_inflight[id(gaps)] = gaps
-        try:
-            yield from self._acquire_and_service(regions, is_read=True)
-        finally:
+
+        def landed() -> None:
             self._ra_inflight.pop(id(gaps), None)
-        stored = 0
-        for g_lo, g_hi in gaps:
-            stored += extents.add(self._ra_runs, g_lo, g_hi)
-        self.stats.readahead_bytes += nbytes
-        if self._m_enabled:
-            self._c_ra_bytes.add(nbytes)
-        if stored != nbytes:
-            self._ra_count_wasted(nbytes - stored)
+            stored = 0
+            for g_lo, g_hi in gaps:
+                stored += extents.add(self._ra_runs, g_lo, g_hi)
+            self.stats.readahead_bytes += nbytes
+            if self._m_enabled:
+                self._c_ra_bytes.add(nbytes)
+            if stored != nbytes:
+                self._ra_count_wasted(nbytes - stored)
+            then()
+
+        self._claim_disk([(g_lo, g_hi - g_lo) for g_lo, g_hi in gaps], True, landed)
 
     def count_replica_bytes(self, nbytes: int) -> None:
         """Account ``nbytes`` received as a non-primary replica copy."""
@@ -448,8 +503,8 @@ class IOServer:
         if self._m_enabled:
             self._c_replica_bytes.add(nbytes)
 
-    def service_rebuild(self, regions: List[Tuple[int, int]]):
-        """Process fragment: land re-driven recovery bytes on the platter.
+    def rebuild(self, regions: Regions, then: Callable) -> None:
+        """Land re-driven recovery bytes on the platter, then ``then()``.
 
         Deliberately bypasses the write-back cache: recovery writes exist
         to close a durability gap, so staging them in the volatile buffer
@@ -457,34 +512,26 @@ class IOServer:
         point — real rebuilds use direct I/O for the same reason.
         """
         nbytes = sum(length for _, length in regions)
-        self._write_in(regions, nbytes)
-        yield from self._acquire_and_service(regions, is_read=False)
-        self.stats.rebuild_bytes += nbytes
-        if self._m_enabled:
-            self._c_rebuild_bytes.add(nbytes)
+        self._write_in(regions)
 
-    def service_sync(self):
-        """Process fragment: flush request (one per MPI_File_sync).
+        def landed() -> None:
+            self.stats.rebuild_bytes += nbytes
+            if self._m_enabled:
+                self._c_rebuild_bytes.add(nbytes)
+            then()
+
+        self._claim_disk(regions, False, landed)
+
+    def sync(self, then: Callable) -> None:
+        """A flush request (one per MPI_File_sync), then ``then()``.
 
         With a write-back cache the dirty extents hit the platter before
         the sync cost is paid — MPI_File_sync's durability contract.
         """
-        if self.cache is not None:
-            yield from self.cache.flush()
-        yield from self._holding_disk(self.head_position, self._sync_disk())
-
-    def _sync_disk(self):
-        """Process fragment: the sync cost proper; the disk must be held."""
-        seconds = self.disk.sync_time()
-        yield self.env.timeout(seconds)
-        self._sync_serviced(seconds)
-
-    def _sync_serviced(self, seconds: float) -> None:
-        """Account a sync once its ``seconds`` on the disk have passed."""
-        self.stats.syncs += 1
-        self.stats.busy_s += seconds
-        if self._m_enabled:
-            self._c_syncs.add()
+        if self.cache is None:
+            self._claim_disk(None, False, then)
+        else:
+            self.cache.flush(lambda: self._claim_disk(None, False, then))
 
 
 class MetadataServer:

@@ -93,13 +93,33 @@ def test_bare_single_server_write_list():
     secondary, the hop's wire latency, the secondary's ``net_in`` hold
     and disk service, and the leg.  A read of those bytes is served by
     the primary alone: client TX hold, wire, disk service, the reply's
-    ``net_out`` hold, and the leg."""
+    ``net_out`` hold, and the leg.
+
+    On an elevator server the write's disk service waits on one more
+    event, the disk's grant: client TX hold, wire, ``net_in`` hold, grant,
+    disk service, the leg.  With a 64 KiB write-back cache the write is
+    copied in and drained by the idle flush: client TX hold, wire,
+    ``net_in`` hold, the copy-in, the leg; then the idle wait, the flush
+    lock's request, the grant and the flush's disk service."""
     env = Environment()
     fs = FileSystem(env, PVFSConfig(nservers=1))
     file = created(fs)
     events = wait_on(env, fs.write_list(0, file, [(0, 4 * KIB)]))
     assert events == 5
     assert fs.servers[0].stats.bytes_written == 4 * KIB
+
+    env = Environment()
+    fs = FileSystem(env, PVFSConfig(nservers=1, disk_sched="elevator"))
+    file = created(fs)
+    assert wait_on(env, fs.write_list(0, file, [(0, 4 * KIB)])) == 6
+    assert fs.servers[0].stats.bytes_written == 4 * KIB
+
+    env = Environment()
+    fs = FileSystem(env, PVFSConfig(nservers=1, server_cache_B=64 * KIB))
+    file = created(fs)
+    assert wait_on(env, fs.write_list(0, file, [(0, 4 * KIB)])) == 9
+    assert fs.servers[0].stats.bytes_written == 4 * KIB
+    assert fs.servers[0].cache.flushes == 1
 
     env = Environment()
     fs = FileSystem(env, PVFSConfig(nservers=2, replicas=2))
@@ -123,12 +143,23 @@ def test_sync_on_two_servers():
 
 def test_sync_on_one_server():
     """Client TX hold, wire, disk service, the leg; the caller waits on
-    the leg itself, not on a one-leg ``Join``."""
+    the leg itself, not on a one-leg ``Join``.
+
+    On a server whose write-back cache is clean: client TX hold, wire,
+    the flush lock's request (nothing to flush), the disk's grant, the
+    sync's disk service, the leg."""
     env = Environment()
     fs = FileSystem(env, PVFSConfig(nservers=1))
     file = created(fs)
     assert wait_on(env, fs.sync(0, file)) == 4
     assert fs.total_syncs() == 1
+
+    env = Environment()
+    fs = FileSystem(env, PVFSConfig(nservers=1, server_cache_B=64 * KIB))
+    file = created(fs)
+    assert wait_on(env, fs.sync(0, file)) == 6
+    assert fs.total_syncs() == 1
+    assert fs.servers[0].cache.flushes == 0
 
 
 def test_one_rank_reaches_its_nic_in_issue_order(monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 from repro.mpi.network import NetworkConfig
 from repro.pvfs import DiskModel, FileSystem, IOServer, PVFSConfig
 from repro.pvfs.cache import WriteBackCache
-from repro.sim import Environment
+from repro.sim import Environment, Event
+
+from tests.pvfs.calls import served, synced
 
 KIB, MIB = 1024, 1024 * 1024
 
@@ -65,9 +67,9 @@ class TestDirtyExtentMerging:
         server = make_server(env)
 
         def proc():
-            yield from server.service_write([(0, 100), (200, 50)])
-            yield from server.service_write([(100, 100)])  # bridges the gap
-            yield from server.service_write([(240, 100)])  # overlaps the tail
+            yield served(server, [(0, 100), (200, 50)])
+            yield served(server, [(100, 100)])  # bridges the gap
+            yield served(server, [(240, 100)])  # overlaps the tail
 
         run(env, proc())
         assert server.cache.dirty_runs == [(0, 340)]
@@ -79,14 +81,14 @@ class TestDirtyExtentMerging:
     def test_disjoint_regions_stay_separate(self):
         env = Environment()
         server = make_server(env)
-        run(env, server.service_write([(0, 10), (100, 10)]))
+        env.run(served(server, [(0, 10), (100, 10)]))
         # Runs are stored as [start, end) extents.
         assert server.cache.dirty_runs == [(0, 10), (100, 110)]
 
     def test_absorb_is_memory_speed(self):
         env = Environment()
         server = make_server(env, cache_idle_flush_s=1000.0)
-        run(env, server.service_write([(0, 64 * KIB)]))
+        env.run(served(server, [(0, 64 * KIB)]))
         # Far cheaper than the disk op overhead alone (8e-4 s).
         assert env.now < 2e-4
 
@@ -97,8 +99,8 @@ class TestReadHits:
         server = make_server(env)
 
         def proc():
-            yield from server.service_write([(100, 200)])
-            yield from server.service_write([(120, 50)], is_read=True)
+            yield served(server, [(100, 200)])
+            yield served(server, [(120, 50)], True)
 
         run(env, proc())
         assert server.cache.read_hits == 1
@@ -111,9 +113,9 @@ class TestReadHits:
         server = make_server(env)
 
         def proc():
-            yield from server.service_write([(100, 200)])
+            yield served(server, [(100, 200)])
             # Partially covered: the daemon reads the whole region from disk.
-            yield from server.service_write([(250, 100)], is_read=True)
+            yield served(server, [(250, 100)], True)
 
         run(env, proc())
         assert server.cache.read_hits == 0
@@ -127,9 +129,9 @@ class TestFlushTriggers:
         server = make_server(env, cache_idle_flush_s=1000.0)
 
         def proc():
-            yield from server.service_write([(0, 100), (200, 100)])
+            yield served(server, [(0, 100), (200, 100)])
             assert server.stats.bytes_written == 0  # still only in memory
-            yield from server.service_sync()
+            yield synced(server)
 
         run(env, proc())
         # The sync drained the cache first, then paid the sync cost: the
@@ -149,7 +151,7 @@ class TestFlushTriggers:
     def test_sync_with_clean_cache_only_pays_sync(self):
         env = Environment()
         server = make_server(env)
-        run(env, server.service_sync())
+        env.run(synced(server))
         assert server.stats.syncs == 1
         assert server.stats.requests == 0
         assert server.cache.flushes == 0
@@ -159,7 +161,7 @@ class TestFlushTriggers:
         server = make_server(
             env, cache_B=100 * KIB, cache_watermark=0.5, cache_idle_flush_s=1000.0
         )
-        run(env, server.service_write([(0, 60 * KIB)]))  # > 50 KiB watermark
+        env.run(served(server, [(0, 60 * KIB)]))  # > 50 KiB watermark
         env.run()  # let the background flush drain
         assert server.cache.flushes == 1
         assert server.cache.dirty_bytes == 0
@@ -168,7 +170,7 @@ class TestFlushTriggers:
     def test_idle_timeout_flushes(self):
         env = Environment()
         server = make_server(env, cache_idle_flush_s=0.5)
-        run(env, server.service_write([(0, 1 * KIB)]))
+        env.run(served(server, [(0, 1 * KIB)]))
         assert server.cache.dirty_bytes == 1 * KIB
         env.run()  # idle watcher fires at ~0.5 s
         assert server.cache.flushes == 1
@@ -179,12 +181,15 @@ class TestFlushTriggers:
         env = Environment()
         server = make_server(env, cache_B=64 * KIB, cache_idle_flush_s=1000.0)
 
-        def proc():
-            yield from server.service_write([(0, 48 * KIB)])
-            # Would overflow: the client stalls behind a flush first.
-            yield from server.service_write([(100 * KIB, 48 * KIB)])
-
-        run(env, proc())
+        done = Event(env)
+        # At the instant the first write is absorbed, the second would
+        # overflow: the client stalls behind a flush first.
+        server.serve(
+            [(0, 48 * KIB)],
+            False,
+            lambda: server.serve([(100 * KIB, 48 * KIB)], False, done.succeed),
+        )
+        env.run(done)
         assert server.cache.flushes >= 1
         assert server.stats.bytes_written >= 48 * KIB
         assert server.cache.dirty_bytes <= 64 * KIB

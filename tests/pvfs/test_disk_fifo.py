@@ -9,10 +9,8 @@ the degraded disk model, or a head rehomed to 0.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.pvfs import DiskModel, FileSystem, IOServer, PVFSConfig
-from repro.sim import Environment, Interrupt
+from repro.pvfs import DiskModel, FileSystem, PVFSConfig
+from repro.sim import Environment
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -88,45 +86,3 @@ def test_a_restore_while_waiting_rehomes_the_head():
         + disk.service_detail([(0, B_B)], 0).seconds
     )
     assert server.stats.outages == 1
-
-
-@pytest.mark.parametrize("sched", ["fifo", "elevator"])
-def test_a_waiter_that_unwinds_leaves_the_fifo(sched):
-    """A process interrupted while it waits for the disk withdraws its
-    claim: the holder keeps the disk, then hands it to the next waiter,
-    and the disk ends idle.  The elevator would have picked the quitter
-    (1 MiB) before ``next`` (2 MiB) had it stayed queued."""
-    env = Environment()
-    server = IOServer(env, 0, DiskModel(), sched=sched)
-    served = []
-
-    def writer(name, offset):
-        try:
-            yield from server.service_write([(offset, 64 * KIB)])
-        except Interrupt:
-            served.append((name, "unwound", env.now))
-            return
-        served.append((name, "served", env.now))
-
-    env.process(writer("holder", 0))
-    env.process(writer("next", 2 * MIB))
-    quitter = env.process(writer("quitter", 1 * MIB))
-
-    def interrupter():
-        yield env.timeout(1e-3)
-        assert len(server.disk_queue.waiting) == 2
-        quitter.interrupt()
-        yield env.timeout(0)
-        assert len(server.disk_queue.waiting) == 1
-
-    env.process(interrupter())
-    env.run()
-    disk = server.disk
-    holder_s = disk.service_detail([(0, 64 * KIB)], 0).seconds
-    next_s = disk.service_detail([(2 * MIB, 64 * KIB)], 64 * KIB).seconds
-    assert served == [
-        ("quitter", "unwound", 1e-3),
-        ("holder", "served", holder_s),
-        ("next", "served", holder_s + next_s),
-    ]
-    assert not server.disk_queue.busy and not len(server.disk_queue.waiting)

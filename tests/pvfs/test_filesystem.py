@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import S3aSim, SimulationConfig
+from repro.faults import FaultPlan, ServerOutage
 from repro.mpi.network import NetworkConfig
 from repro.pvfs import DiskModel, FileSystem, PVFSConfig
 from repro.sim import Environment, Process
@@ -26,6 +27,17 @@ def make_fs(env, **kwargs):
     )
     defaults.update(kwargs)
     return FileSystem(env, PVFSConfig(**defaults))
+
+
+#: The failure test's server stacks: bare, elevator, and elevator with a
+#: write-back cache and read-ahead.
+SERVER_STACKS = {
+    "fifo": {},
+    "elevator": dict(disk_sched="elevator"),
+    "elevator-cache-readahead": dict(
+        disk_sched="elevator", server_cache_B=1 * MIB, readahead_B=64 * KIB
+    ),
+}
 
 
 def run(env, fragment):
@@ -200,11 +212,23 @@ class TestSync:
 
 class TestServerRequestLegs:
     @pytest.mark.parametrize(
-        "strategy,replicas", [("ww-list", 1), ("ww-posix", 1), ("ww-list", 2)]
+        "strategy,replicas,stacked",
+        [
+            pytest.param("ww-list", 1, False, id="ww-list-1"),
+            pytest.param("ww-posix", 1, False, id="ww-posix-1"),
+            pytest.param("ww-list", 2, False, id="ww-list-2"),
+            pytest.param("ww-list", 2, True, id="ww-list-2-stacked-outage"),
+        ],
     )
-    def test_no_leg_starts_a_process(self, monkeypatch, strategy, replicas):
+    def test_no_leg_starts_a_process(self, monkeypatch, strategy, replicas, stacked):
         """Per-server legs of list I/O, replica chains included, and syncs
-        are callback machines: the ranks are the only processes."""
+        are callback machines: the ranks are the only processes.
+
+        The stacked input puts an elevator, a write-back cache small
+        enough to reach its watermark and read-ahead on every server, and
+        takes server 0 down for a second: its cache flushes (watermark,
+        back-pressure, idle and sync) and the rebuild after the outage
+        start no process either; the outage is the injector's own."""
         names = []
         init = Process.__init__
 
@@ -214,36 +238,51 @@ class TestServerRequestLegs:
 
         monkeypatch.setattr(Process, "__init__", recording_init)
         cfg = SimulationConfig(strategy=strategy, nprocs=4, nqueries=2, nfragments=4)
-        cfg = cfg.with_(pvfs=replace(cfg.pvfs, replicas=replicas))
-        assert S3aSim(cfg).run().file_stats.complete
-        assert sorted(names) == [f"rank-{rank}" for rank in range(4)]
+        pvfs = replace(cfg.pvfs, replicas=replicas)
+        expected = [f"rank-{rank}" for rank in range(4)]
+        if stacked:
+            pvfs = replace(
+                pvfs, disk_sched="elevator", server_cache_B=64 * KIB,
+                readahead_B=128 * KIB,
+            )
+            cfg = cfg.with_(
+                fault_plan=FaultPlan(
+                    server_outages=(ServerOutage(0, start=7.0, duration=1.0),)
+                )
+            )
+            expected = ["fault-outage-s0"] + expected
+        result = S3aSim(cfg.with_(pvfs=pvfs)).run()
+        assert result.file_stats.complete
+        assert sorted(names) == expected
+        if stacked:
+            assert result.fault_stats["rebuilds"] == 1
 
-    @pytest.mark.parametrize("disk_sched", ["fifo", "elevator"])
-    def test_server_side_failure_reaches_the_caller(self, disk_sched):
-        """An exception out of the server stack fails the call at the
-        instant it is raised.  Read-ahead keeps both stacks off the bare
-        callback path, so the leg steps ``service_write``."""
+    @pytest.mark.parametrize("stack", ["fifo", "elevator", "elevator-cache-readahead"])
+    def test_server_side_failure_reaches_the_caller(self, stack):
+        """An exception raised in the server stack leaves ``env.run()`` at
+        the instant it is raised, on the bare stack as on the others: no
+        leg turns it into a failed event."""
         env = Environment()
-        fs = make_fs(env, disk_sched=disk_sched, readahead_B=64 * KIB)
-        caught = []
+        fs = make_fs(env, **SERVER_STACKS[stack])
+        raised = []
 
-        def broken(regions, is_read=False):
-            yield env.timeout(1.0)
+        def broken(*_args):
+            raised.append(env.now)
             raise RuntimeError("disk on fire")
 
-        fs.servers[1].service_write = broken
+        fs.servers[1]._disk_serviced = broken
+        finished = []
 
         def proc():
             f = yield from fs.open(0, "/a")
-            started = env.now
-            try:
-                yield from fs.read_list(0, f, [(0, 4 * 64 * KIB)])
-            except RuntimeError as exc:
-                caught.append((str(exc), env.now - started))
+            yield from fs.read_list(0, f, [(0, 4 * 64 * KIB)])
+            finished.append(env.now)
 
-        run(env, proc())
-        assert len(caught) == 1 and caught[0][0] == "disk on fire"
-        assert 1.0 < caught[0][1] < 1.001
+        env.process(proc())
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            env.run()
+        assert len(raised) == 1 and env.now == raised[0] > 0
+        assert finished == []
 
 
 class TestContention:

@@ -3,6 +3,8 @@
 from repro.pvfs import DiskModel, IOServer
 from repro.sim import Environment
 
+from tests.pvfs.calls import served
+
 KIB = 1024
 
 
@@ -11,7 +13,7 @@ def make_server(env, **kwargs):
 
 
 def writer(server, offset, nbytes=64 * KIB):
-    yield from server.service_write([(offset, nbytes)])
+    yield served(server, [(offset, nbytes)])
 
 
 class TestQueueDepth:

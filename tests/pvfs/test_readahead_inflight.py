@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.pvfs import DiskModel, IOServer, merge_extents
 from repro.sim import Environment
 
+from tests.pvfs.calls import flushed, served
 from tests.pvfs.test_readahead_props import (
     KIB,
     MIB,
@@ -29,7 +30,11 @@ MID_PREFETCH_S = READ_DONE_S + 1e-4
 
 
 def read(server, offset, length):
-    yield from server.service_write([(offset, length)], is_read=True)
+    yield served(server, [(offset, length)], True)
+
+
+def write(server, offset, length):
+    yield served(server, [(offset, length)])
 
 
 def race_prefetch(server, action):
@@ -52,7 +57,7 @@ def race_prefetch(server, action):
 def test_write_during_prefetch_is_not_served_from_the_store():
     env = Environment()
     server = IOServer(env, 0, DiskModel(), readahead_B=64 * KIB)
-    race_prefetch(server, lambda: server.service_write([(20 * KIB, 4 * KIB)]))
+    race_prefetch(server, lambda: write(server, 20 * KIB, 4 * KIB))
     env.run()
     check_structure(server)
     assert not overlap(server._ra_runs, [(20 * KIB, 24 * KIB)])
@@ -64,7 +69,7 @@ def test_write_during_prefetch_is_not_served_from_the_store():
 def test_write_during_prefetch_never_shadows_dirty_data():
     env = Environment()
     server = IOServer(env, 0, DiskModel(), readahead_B=64 * KIB, cache_B=1 * MIB)
-    race_prefetch(server, lambda: server.service_write([(20 * KIB, 4 * KIB)]))
+    race_prefetch(server, lambda: write(server, 20 * KIB, 4 * KIB))
     # The write is still dirty: the idle flush is ~20 ms away.
     assert server.cache.dirty_runs == [(20 * KIB, 24 * KIB)]
     check_structure(server)
@@ -79,7 +84,7 @@ def test_write_absorbed_as_prefetch_starts_never_shadows_dirty_data():
 
     def write():
         yield env.timeout(READ_DONE_S - copy_in / 2)
-        yield from server.service_write([(20 * KIB, 4 * KIB)])
+        yield served(server, [(20 * KIB, 4 * KIB)])
 
     reader = env.process(read(server, 0, 4 * KIB))
     env.process(write())
@@ -127,7 +132,7 @@ def test_prefetch_served_before_a_queued_write_keeps_nothing_stale():
 
     def queue_write_and_read():
         yield env.timeout(1e-6)
-        writer = env.process(server.service_write([(32 * KIB, 4 * KIB)]))
+        writer = served(server, [(32 * KIB, 4 * KIB)])
         env.process(read(server, 16 * KIB, 32 * KIB))
         yield writer
         # The reordering really happened: the prefetch landed first.
@@ -189,13 +194,13 @@ def test_overlapping_ops_keep_prefetch_and_dirty_disjoint(sequence):
     def step(at, kind, a, b):
         yield env.timeout(at)
         if kind == "write":
-            yield from server.service_write([(a * 8 * KIB, b)])
+            yield served(server, [(a * 8 * KIB, b)])
         elif kind == "read":
-            yield from server.service_write([(a, b)], is_read=True)
+            yield served(server, [(a, b)], True)
         elif kind == "stream":
-            yield from server.service_write([(server._ra_next, b)], is_read=True)
+            yield served(server, [(server._ra_next, b)], True)
         elif kind == "flush":
-            yield from server.cache.flush()
+            yield flushed(server.cache)
         else:  # crash, then immediate restart
             crashes[0] += 1
             planned[crashes[0]] = []

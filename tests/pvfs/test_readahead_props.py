@@ -20,6 +20,8 @@ from repro.mpi.network import NetworkConfig
 from repro.pvfs import DiskModel, FileSystem, IOServer, PVFSConfig
 from repro.sim import Environment
 
+from tests.pvfs.calls import flushed, served
+
 KIB, MIB = 1024, 1024 * 1024
 
 # One op per step: writes pick a slot index (mapped to a fresh extent),
@@ -87,15 +89,15 @@ def test_interleavings_keep_prefetch_and_dirty_disjoint(sequence):
 
     def step(kind, a, b):
         if kind == "write":
-            yield from server.service_write([(a * 8 * KIB, b)])
+            yield served(server, [(a * 8 * KIB, b)])
         elif kind == "read":
-            yield from server.service_write([(a, b)], is_read=True)
+            yield served(server, [(a, b)], True)
         elif kind == "sync":
             if server.cache is not None:
-                yield from server.cache.flush()
+                yield flushed(server.cache)
         elif kind == "flush":
             if server.cache is not None:
-                yield from server.cache.flush()
+                yield flushed(server.cache)
         else:  # crash, then immediate restart
             server.fail()
             assert server._ra_runs == []
@@ -121,7 +123,7 @@ def test_crash_never_resurrects_prefetched_extents(prefix, crash_at):
     server = make_server(env, readahead_B=16 * KIB)
 
     def read(offset, length=1 * KIB):
-        yield from server.service_write([(offset, length)], is_read=True)
+        yield served(server, [(offset, length)], True)
 
     for i, offset in enumerate(prefix):
         env.run(env.process(read(offset)))
@@ -149,7 +151,7 @@ def test_sequential_stream_prefetches_and_hits():
     server = make_server(env, readahead_B=8 * KIB)
 
     def read(offset, length):
-        yield from server.service_write([(offset, length)], is_read=True)
+        yield served(server, [(offset, length)], True)
 
     for i in range(8):
         env.run(env.process(read(i * 1 * KIB, 1 * KIB)))
@@ -163,7 +165,7 @@ def test_write_into_prefetched_run_invalidates_it():
     server = make_server(env, readahead_B=8 * KIB)
 
     def op(regions, is_read):
-        yield from server.service_write(regions, is_read=is_read)
+        yield served(server, regions, is_read)
 
     env.run(env.process(op([(0, 2 * KIB)], True)))
     env.run(env.process(op([(1 * KIB, 2 * KIB)], True)))  # sequential: prefetch

@@ -40,21 +40,25 @@ class TestPolicies:
         assert policy.select(w, head=0) == 0
 
 
+def granted(env, queue, offset):
+    """An event succeeded once ``queue`` grants a claim at ``offset``."""
+    event = Event(env)
+    queue.claim(event.succeed, offset)
+    return event
+
+
 class TestDiskQueue:
     def serve(self, elevator, offsets, head_each=None):
-        """Drive concurrent grants through a queue; return service order."""
+        """Drive concurrent claims through a queue; return service order."""
         env = Environment()
-        queue = DiskQueue(env, elevator)
+        queue = DiskQueue(elevator)
         order = []
 
         def one(offset):
-            grant = queue.grant(offset)
-            try:
-                yield grant
-                order.append(offset)
-                yield env.timeout(1.0)
-            finally:
-                queue.release(offset if head_each is None else head_each, grant)
+            yield granted(env, queue, offset)
+            order.append(offset)
+            yield env.timeout(1.0)
+            queue.release(offset if head_each is None else head_each)
 
         for offset in offsets:
             env.process(one(offset))
@@ -73,17 +77,17 @@ class TestDiskQueue:
 
     def test_depth_counts_in_service_and_waiting(self):
         env = Environment()
-        queue = DiskQueue(env)
+        queue = DiskQueue()
 
         def holder():
-            yield queue.grant(0)
+            yield granted(env, queue, 0)
             yield env.timeout(1.0)
             queue.release(0)
 
         def waiter():
             yield env.timeout(0.1)
             assert queue.depth == 1
-            grant = queue.grant(10)
+            grant = granted(env, queue, 10)
             assert queue.depth == 2
             yield grant
             queue.release(10)
@@ -94,8 +98,7 @@ class TestDiskQueue:
         assert queue.depth == 0
 
     def test_release_without_acquire_raises(self):
-        env = Environment()
-        queue = DiskQueue(env)
+        queue = DiskQueue()
         with pytest.raises(SimulationError):
             queue.release(0)
 

@@ -56,7 +56,7 @@ class TestResetProperty:
             head = rng.randrange(0, 1 << 20)
             aging = rng.randint(1, 10)
 
-            queue = DiskQueue(env, ElevatorPolicy(aging_limit=aging))
+            queue = DiskQueue(ElevatorPolicy(aging_limit=aging))
             queue.waiting = [
                 QueuedRequest(w.offset, w.order, Event(env).succeed, w.passes)
                 for w in waiting
@@ -84,7 +84,7 @@ class TestResetProperty:
 
     def test_reset_keeps_arrival_order(self):
         env = Environment()
-        queue = DiskQueue(env, ElevatorPolicy())
+        queue = DiskQueue(ElevatorPolicy())
         queue.waiting = [
             QueuedRequest(offset=10, order=3, start=Event(env).succeed, passes=5),
             QueuedRequest(offset=20, order=7, start=Event(env).succeed, passes=2),
@@ -94,8 +94,7 @@ class TestResetProperty:
         assert all(w.passes == 0 for w in queue.waiting)
 
     def test_fifo_queue_reset_is_harmless(self):
-        env = Environment()
-        queue = DiskQueue(env)
+        queue = DiskQueue()
         queue.reset()  # empty queue: no-op
         assert queue.waiting == []
 
