@@ -9,7 +9,7 @@ from typing import Any, Iterable, List, Optional, Tuple, Union
 from ..check.invariants import NULL_CHECKER
 from ..obs.metrics import NULL_METRICS
 from .errors import EmptySchedule, SimulationError, StopSimulation
-from .events import AllOf, AnyOf, Event, NORMAL, Timeout
+from .events import AnyOf, Event, Join, NORMAL, Timeout
 from .process import Process, ProcessGenerator
 
 _INF = float("inf")
@@ -72,8 +72,8 @@ class Environment:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
+    def all_of(self, events: Iterable[Event]) -> Join:
+        return Join(self, *events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -85,7 +85,7 @@ class Environment:
         ``delay`` must be finite and non-negative: a NaN timestamp breaks
         the queue's ordering invariant and silently corrupts it, and an
         infinite one can never be reached.  Zero (the overwhelmingly common
-        case — every succeed/fail/trigger) takes the comparison-free path.
+        case — every succeed/fail) takes the comparison-free path.
         """
         if delay:
             # Truthy delay: NaN and negatives fail the left comparison,

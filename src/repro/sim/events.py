@@ -10,6 +10,11 @@ Events move through three states:
 
 ``untriggered`` → ``triggered`` (scheduled, has a value) → ``processed``
 (callbacks ran).
+
+Waits compose two ways, and only two: :class:`Join` (all of a set of
+events; the collectives and the PVFS fan-outs) and :class:`AnyOf` (the
+first of them; the master's and the workers' message loops).  Neither
+carries a value: the waiter reads each sub-event's own ``value``.
 """
 
 from __future__ import annotations
@@ -110,21 +115,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy state from ``event`` and schedule.  Usable as a callback."""
-        if self.triggered:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
-    # -- composition -------------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_event, [self, other])
-
 
 class Timeout(Event):
     """An event that fires ``delay`` units of simulated time after creation."""
@@ -165,161 +155,13 @@ class Initialize(Event):
         env.schedule(self, priority=URGENT)
 
 
-class ConditionValue:
-    """Result of a condition: ordered mapping of triggered events to values."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()}>"
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self) -> List[Event]:
-        return list(self.events)
-
-    def values(self) -> List[Any]:
-        return [e._value for e in self.events]
-
-    def items(self):
-        return [(e, e._value) for e in self.events]
-
-    def todict(self) -> dict:
-        return {e: e._value for e in self.events}
-
-
-class Condition(Event):
-    """Waits for a boolean combination of events (``&`` / ``|``).
-
-    ``evaluate`` receives the list of sub-events and the count of processed
-    ones and returns True when the condition holds.  Failed sub-events
-    propagate their exception to the condition.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("Events from different environments cannot be mixed")
-
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)  # type: ignore[union-attr]
-
-        # Register a callback that collects the values of triggered
-        # sub-events (in declaration order) once the condition fires.
-        if not self.triggered and self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue())
-        if self.triggered and self._build_value not in self.callbacks:
-            # Must run before any waiter's callback so the waiter sees a
-            # populated ConditionValue.
-            self.callbacks.insert(0, self._build_value)  # type: ignore[union-attr]
-
-    def _desc(self) -> str:
-        return f"{self._evaluate.__name__}({len(self._events)} events)"
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            # The condition already fired (e.g. an AnyOf satisfied by a
-            # sibling at this same timestamp).  A *failed* straggler still
-            # needs defusing: the condition is the event's waiter, and
-            # without this the environment re-raises the failure as
-            # unhandled and kills the whole run.
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            self.callbacks.insert(0, self._build_value)  # type: ignore[union-attr]
-        elif self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue())
-            self.callbacks.insert(0, self._build_value)  # type: ignore[union-attr]
-
-    def _build_value(self, event: Event) -> None:
-        self._remove_callbacks()
-        if event._ok:
-            value: ConditionValue = event._value
-            for sub in self._events:
-                if sub.triggered and sub._ok and sub not in value.events:
-                    value.events.append(sub)
-
-    def _remove_callbacks(self) -> None:
-        for sub in self._events:
-            if not sub.processed and sub.callbacks is not None:
-                try:
-                    sub.callbacks.remove(self._check)
-                except ValueError:
-                    pass
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_event(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Fires when every given event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires as soon as any given event fires (immediately if empty)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_event, events)
-
-
 class Join(Event):
-    """``a & b & ...`` without the :class:`Condition` machinery.
+    """Waits for all of ``events``: ``env.all_of``.
 
-    Succeeds (value ``None``) when the last sub-event is processed — the
-    same schedule call, hence the same ``(time, priority, eid)`` position,
-    as ``AllOf`` — but builds no :class:`ConditionValue`: callers read the
-    sub-events' own values.  A failed sub-event is defused and fails the
-    join; a failed straggler after the join has fired is defused too.
+    Succeeds (value ``None``) when the last sub-event is processed; callers
+    read the sub-events' own values.  A failed sub-event is defused and
+    fails the join; a failed straggler after the join has fired is defused
+    too, since the join is its waiter.
     """
 
     __slots__ = ("_waiting",)
@@ -349,3 +191,50 @@ class Join(Event):
             self._waiting -= 1
             if not self._waiting:
                 self.succeed()
+
+
+class AnyOf(Event):
+    """Waits for the first of ``events``: ``env.any_of``.
+
+    Succeeds (value ``None``) when the first sub-event is processed, or
+    fails with it if it failed, defusing it.  A failed straggler processed
+    before the any-of itself is defused too.  Once processed, the any-of
+    removes its check from the sub-events still pending, so a loop that
+    re-waits on the same pending event leaves no callbacks behind on it.
+    """
+
+    __slots__ = ("_events",)
+
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
+        self._events = events = list(events)
+        if not events:
+            raise ValueError("AnyOf needs at least one event")
+        if any(event.env is not env for event in events):
+            raise ValueError("Events from different environments cannot be mixed")
+        super().__init__(env)
+        for event in events:
+            if event.callbacks is None:
+                self._check(event)
+            else:
+                event.callbacks.append(self._check)
+
+    def _desc(self) -> str:
+        return f"any_of({len(self._events)} events)"
+
+    def _check(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+        if self._value is _PENDING:
+            if event._ok:
+                self.succeed()
+            else:
+                self.fail(event._value)
+            # First, so the waiter resumes with no check left on the
+            # sub-events still pending.
+            self.callbacks.insert(0, self._detach)  # type: ignore[union-attr]
+
+    def _detach(self, _event: Event) -> None:
+        check = self._check
+        for event in self._events:
+            if event.callbacks is not None:
+                event.callbacks.remove(check)

@@ -97,8 +97,8 @@ class TestResource:
 
         def impatient(env):
             req = res.request()
-            result = yield req | env.timeout(1)
-            if req not in result:
+            yield env.any_of([req, env.timeout(1)])
+            if not req.processed:
                 res.release(req)  # give up the queued claim
                 return "gave-up"
             return "got-it"
