@@ -8,13 +8,14 @@ fails here, not only in the benchmark's traced ``sim.events``.
 
 No process drives the operations (a driving process would add its own
 ``Initialize`` and completion events): sends are issued and receives
-posted from the test itself, and the PVFS fragments are stepped by hand
-to the event they wait on.
+posted from the test itself, and the PVFS and collective fragments are
+stepped by hand to the events they wait on.
 """
 
 from __future__ import annotations
 
 from repro.mpi import MpiWorld, NetworkConfig
+from repro.mpi.collectives import alltoall, barrier
 from repro.pvfs import FileSystem, PVFSConfig
 from repro.sim import Environment, Lane
 
@@ -58,6 +59,30 @@ def wait_on(env: Environment, fragment) -> int:
     except StopIteration:
         return events
     raise AssertionError("the fragment waited on a second event")
+
+
+def drive(env: Environment, fragments) -> int:
+    """Step every fragment by hand, each event it yields resuming it as a
+    process would, drain the queue and check every fragment finished."""
+    finished = []
+
+    def advance(fragment, value=None) -> None:
+        while True:
+            try:
+                event = fragment.send(value)
+            except StopIteration as stop:
+                finished.append(stop.value)
+                return
+            if event.callbacks is not None:
+                event.callbacks.append(lambda e: advance(fragment, e.value))
+                return
+            value = event.value
+
+    for fragment in fragments:
+        advance(fragment)
+    events = drain(env)
+    assert len(finished) == len(fragments)
+    return events
 
 
 def test_lone_eager_send():
@@ -220,3 +245,25 @@ def test_one_rank_reaches_its_nic_in_issue_order(monkeypatch):
         assert [at for at, _ in holds] == sorted(at for at, _ in holds)
         # Back to back from the instant of issue: the lane was idle.
         assert holds[-1][0] == sum(order, issued[0])
+
+
+def test_collectives_on_eight_ranks():
+    """Per rank and round of the dissemination barrier (3 rounds on 8
+    ranks): TX hold, wire, RX hold, send completion, receive completion
+    and the round's join, so 8 x 3 x 6 entries.  Bruck's alltoall on 8
+    ranks takes the same 3 steps with one message per rank per step, so
+    it costs what the barrier costs."""
+    w = MpiWorld(nranks=8, network=NetworkConfig.myrinet2000())
+    comms = [w.comm.view(rank) for rank in range(8)]
+    assert drive(w.env, [barrier(comm) for comm in comms]) == 144
+
+    w = MpiWorld(nranks=8, network=NetworkConfig.myrinet2000())
+    comms = [w.comm.view(rank) for rank in range(8)]
+    got = []
+
+    def exchange(comm):
+        blocks = yield from alltoall(comm, 8, [(comm.rank, d) for d in range(8)])
+        got.append((comm.rank, blocks))
+
+    assert drive(w.env, [exchange(comm) for comm in comms]) == 144
+    assert sorted(got) == [(r, [(s, r) for s in range(8)]) for r in range(8)]

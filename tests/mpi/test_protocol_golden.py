@@ -12,6 +12,9 @@ counters.  Two networks run the script:
 * ``lossy`` — two loss windows: a mild one that forces retransmissions
   and a harsh one with a one-retry budget that ends the run with a
   :class:`LinkFailure`.
+* ``rendezvous-collectives`` — ``eager_threshold_B=0``, so every
+  barrier and alltoallv message (and every nonempty p2p send) is an
+  RTS/CTS/payload exchange.
 
 The end-to-end goldens only see aggregates; this one guards the protocol
 layer message by message.  Regenerate it only for an intended change of
@@ -77,7 +80,10 @@ def make_script(seed: int = 2006) -> tuple:
 def build(name: str):
     """The 8-rank world of one network variant with the script spawned;
     returns ``(world, stamps, checker)``."""
-    world = MpiWorld(NRANKS, NetworkConfig(ranks_per_nic=2))
+    eager_threshold_B = 0 if name == "rendezvous-collectives" else 64 * KIB
+    world = MpiWorld(
+        NRANKS, NetworkConfig(ranks_per_nic=2, eager_threshold_B=eager_threshold_B)
+    )
     env = world.env
     checker = None
     if name == "shared-nic":
@@ -163,7 +169,7 @@ def run_variant(name: str) -> dict:
     return json.loads(json.dumps(out))
 
 
-VARIANTS = ("shared-nic", "lossy")
+VARIANTS = ("shared-nic", "lossy", "rendezvous-collectives")
 
 
 @pytest.fixture(scope="module")
