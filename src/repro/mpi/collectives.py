@@ -17,6 +17,11 @@ the timing scales realistically:
 
 A reserved, per-invocation tag keeps collective traffic disjoint from user
 messages and from other collectives in flight.
+
+The barrier and the alltoall are one :class:`_Dissemination` callback
+machine per rank per call: the rank yields one event for the whole
+collective instead of one ``Join`` per round.  The other collectives are
+generator fragments over ``isend``/``irecv``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..sim import Join
+from ..sim import Event, Join
 from .constants import collective_tag
 
 # Wire size of a zero-byte collective control message.
@@ -39,20 +44,101 @@ def _next_tag(comm) -> int:
     return tag
 
 
+class _Dissemination(Event):
+    """One rank's part of a dissemination barrier or a Bruck alltoall, as
+    callbacks; the event succeeds when the rank's last round is done.
+
+    Round ``k`` (``⌈log₂ n⌉`` of them) sends to ``rank + 2^k`` and receives
+    from ``rank - 2^k``, and ends when both have completed.  A barrier
+    sends ``CONTROL_BYTES`` with no payload.  An alltoall is given the
+    rotated blocks (``held``); round ``k`` sends the blocks at the
+    positions with bit ``k`` set and stores the received ones there.
+
+    The machine stands in for the round's two requests, so the message
+    itself runs the ordinary send path and matching (eager or
+    rendezvous, node-mates, loss and retransmission):
+
+    * it is the send's request: ``Communicator._start_send`` calls its
+      :meth:`_complete` when the send completes;
+    * it is the posted receive: it posts itself in the rank's mailbox
+      with ``source``, ``tag``, ``_matched`` and :meth:`_deliver`.
+
+    Each of those calls takes, through ``call_in(0, ...)``, the queue slot
+    of the request event it replaces.  The round's second one starts the
+    next round in the slot of the ``Join`` a generator would have waited
+    on, and after the last round this event takes that slot, so the rank
+    resumes where the last ``Join`` resumed it.  Every entry lands where
+    the generator form put it, and the results are bit-identical.
+
+    A machine cannot be cancelled: an interrupted rank would stop
+    waiting on it while its rounds ran on.  The simulator never
+    interrupts a rank inside a collective: every worker barrier and
+    collective runs inside the worker's critical section, where the
+    fault injector defers crashes, and masters are never interrupted.
+    """
+
+    __slots__ = (
+        "comm", "mailbox", "rank", "size", "tag", "nbytes", "held", "step",
+        "source", "_matched", "_pending",
+    )
+
+    def __init__(self, comm, tag: int, nbytes: int, held: Optional[list] = None) -> None:
+        super().__init__(comm.env)
+        self.comm = comm._comm
+        self.mailbox = comm.mailbox
+        self.rank = comm.rank
+        self.size = comm.size
+        self.tag = tag
+        self.nbytes = nbytes
+        self.held = held
+        self.step = 0
+        self._round()
+
+    def _round(self) -> None:
+        distance = 1 << self.step
+        rank, size = self.rank, self.size
+        held = self.held
+        if held is None:
+            nbytes, payload = self.nbytes, None
+        else:
+            moved = _bruck_positions(size, self.step)
+            nbytes, payload = self.nbytes * len(moved), [held[i] for i in moved]
+        self._pending = 2
+        self.comm._start_send(
+            rank, (rank + distance) % size, self.tag, nbytes, payload, request=self
+        )
+        self.source = (rank - distance) % size
+        self._matched = False
+        self.mailbox.post(self)
+
+    def _complete(self, _value: Any = None) -> None:
+        """The round's send completed (the send request's slot)."""
+        self.env.call_in(0.0, self._half_done)
+
+    def _deliver(self, payload: Any, _envelope) -> None:
+        """The round's message is here (the receive request's slot)."""
+        held = self.held
+        if held is not None:
+            for i, block in zip(_bruck_positions(self.size, self.step), payload):
+                held[i] = block
+        self.env.call_in(0.0, self._half_done)
+
+    def _half_done(self) -> None:
+        self._pending -= 1
+        if self._pending:
+            return
+        self.step += 1
+        if (1 << self.step) < self.size:
+            self.env.call_in(0.0, self._round)
+        else:
+            self.succeed()
+
+
 def barrier(comm):
     """Dissemination barrier: completes when all ranks have entered."""
     tag = _next_tag(comm)
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return
-    distance = 1
-    while distance < size:
-        dst = (rank + distance) % size
-        src = (rank - distance) % size
-        send = comm.isend(dst, tag, CONTROL_BYTES)
-        recv = comm.irecv(source=src, tag=tag)
-        yield Join(comm.env, send.done_event, recv.done_event)
-        distance *= 2
+    if comm.size > 1:
+        yield _Dissemination(comm, tag, CONTROL_BYTES)
 
 
 def bcast(comm, root: int, nbytes: int, payload: Any = None):
@@ -159,19 +245,8 @@ def alltoall(comm, nbytes: int, blocks: Sequence[Any]):
         raise ValueError("blocks must have one entry per rank")
 
     held = list(blocks[rank:]) + list(blocks[:rank])
-    step = 0
-    while (1 << step) < size:
-        distance = 1 << step
-        moved = _bruck_positions(size, step)
-        send = comm.isend(
-            (rank + distance) % size, tag, nbytes * len(moved),
-            [held[i] for i in moved],
-        )
-        recv = comm.irecv(source=(rank - distance) % size, tag=tag)
-        yield Join(comm.env, send.done_event, recv.done_event)
-        for i, block in zip(moved, recv.done_event.value):
-            held[i] = block
-        step += 1
+    if size > 1:
+        yield _Dissemination(comm, tag, nbytes, held)
     # Position i now holds the block from rank - i.
     return held[rank::-1] + held[:rank:-1]
 

@@ -6,15 +6,22 @@ the :class:`~repro.mpi.network.Network` as small callback-driven state
 machines that start at the call: OOB and loopback sends pay one fixed
 delay; eager and rendezvous sends share one wire crossing (TX hold, wire
 latency, loss and retransmission, RX hold), which a rendezvous send
-makes for its RTS header and again for its payload.  Receives go through
-the rank's :class:`~repro.mpi.mailbox.Mailbox`.
+makes for its RTS header and again for its payload.  Every step only a
+machine reads is a bare callable in the kernel's queue
+(``Environment.call_in``, ``Lane.hold_then``), not an event.  Receives
+go through the rank's :class:`~repro.mpi.mailbox.Mailbox`.
+
+A send completes its *request*: a :class:`SendRequest` by default, or
+any object with a ``_complete()`` method passed to
+:meth:`Communicator._start_send` (the collectives' machines stand in
+for their rounds' send requests that way).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..sim import Environment, Event, Timeout
+from ..sim import Environment, Event
 from .constants import ANY_SOURCE, ANY_TAG, EAGER, RENDEZVOUS_RTS
 from .mailbox import Mailbox
 from .message import Envelope, Status
@@ -79,8 +86,11 @@ class Communicator:
     # -- sends -----------------------------------------------------------------
     def _start_send(
         self, src: int, dst: int, tag: int, nbytes: int, payload: Any,
-        oob: bool = False,
-    ) -> SendRequest:
+        oob: bool = False, request: Any = None,
+    ) -> Any:
+        """Start a send and return its request: ``request`` when given
+        (its ``_complete()`` is called once, when the send completes),
+        else a new :class:`SendRequest`."""
         if not 0 <= dst < self.size:
             raise ValueError(f"destination rank {dst} out of range [0, {self.size})")
         if tag < 0 and tag > -1000:
@@ -88,7 +98,8 @@ class Communicator:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
 
-        request = SendRequest(self.env, dst, tag, nbytes)
+        if request is None:
+            request = SendRequest(self.env, dst, tag, nbytes)
         self._send_seq += 1
         seq = self._send_seq
         config = self.network.config
@@ -134,19 +145,20 @@ class _Send:
     The first step runs in the constructor, at the call.  Every send and
     every PVFS leg starts at its call, so the operations a rank issues at
     one instant reach its NIC in issue order (``docs/MODELING.md`` §1).
-    Each later step is a callback on the event a protocol process would
-    have yielded, scheduled in the order the process scheduled it; what
-    a process adds on top, its ``Initialize`` and completion events, had
-    no callbacks.  NIC holds go through
-    :class:`~repro.sim.resources.Lane`, whose one event per hold stands
-    for the grant and the timeout of a ``Resource`` (see its docstring).
+    Each later step is a bare callable in the queue slot of the event a
+    protocol process would have yielded (``Environment.call_in``),
+    scheduled in the order the process scheduled it; what a process adds
+    on top, its ``Initialize`` and completion events, had no callbacks.
+    NIC holds go through :meth:`~repro.sim.resources.Lane.hold_then`,
+    whose one entry per hold stands for the grant and the timeout of a
+    ``Resource`` (see the ``Lane`` docstring).
     """
 
     __slots__ = ("comm", "env", "src", "dst", "tag", "nbytes", "payload", "seq", "request")
 
     def __init__(
         self, comm: Communicator, src: int, dst: int, tag: int, nbytes: int,
-        payload: Any, seq: int, request: SendRequest,
+        payload: Any, seq: int, request: Any,
     ) -> None:
         self.comm = comm
         self.env = comm.env
@@ -187,9 +199,9 @@ class _ShortSend(_Send):
         super().__init__(comm, src, dst, tag, nbytes, payload, seq, request)
 
     def _start(self) -> None:
-        Timeout(self.env, self.delay).callbacks.append(self._arrived)
+        self.env.call_in(self.delay, self._arrived)
 
-    def _arrived(self, _event: Event) -> None:
+    def _arrived(self) -> None:
         self.request._complete()
         self._land(self.kind)
 
@@ -229,18 +241,18 @@ class _WireSend(_Send):
 
     # -- TX: serialize on the sender's lane -----------------------------------
     def _start(self) -> None:
-        self.tx_nic.tx.hold(self.hold_s).callbacks.append(self._tx_done)
+        self.tx_nic.tx.hold_then(self.hold_s, self._tx_done)
 
-    def _tx_done(self, _event: Event) -> None:
+    def _tx_done(self) -> None:
         self.network.count_tx(self.tx_nic, self.gsrc, self.wire_B)
-        Timeout(self.env, self.network.config.latency_s).callbacks.append(self._crossed)
+        self.env.call_in(self.network.config.latency_s, self._crossed)
 
     # -- the wire: delivered, or dropped and retransmitted --------------------
-    def _crossed(self, _event: Event) -> None:
+    def _crossed(self) -> None:
         network = self.network
         spec = network._dropped_by(self.gsrc, self.gdst, self.wire_B)
         if spec is None:
-            self.rx_nic.rx.hold(self.hold_s).callbacks.append(self._rx_done)
+            self.rx_nic.rx.hold_then(self.hold_s, self._rx_done)
             return
         self.attempt += 1
         try:
@@ -252,16 +264,16 @@ class _WireSend(_Send):
             # raises it at the position a dying process's event would hold.
             Event(self.env).fail(failure)
             return
-        Timeout(
-            self.env, LinkFaults.retransmit_delay(spec, self.attempt)
-        ).callbacks.append(self._retransmit)
+        self.env.call_in(
+            LinkFaults.retransmit_delay(spec, self.attempt), self._retransmit
+        )
 
-    def _retransmit(self, _event: Event) -> None:
+    def _retransmit(self) -> None:
         self.network._count_retransmit(self.gsrc, self.gdst)
         self._start()
 
     # -- RX: serialize on the receiver's lane ---------------------------------
-    def _rx_done(self, _event: Event) -> None:
+    def _rx_done(self) -> None:
         self.network.count_rx(self.rx_nic, self.gdst, self.wire_B)
         self._landed()
 
@@ -275,10 +287,10 @@ class _EagerSend(_WireSend):
     def __init__(self, comm, src, dst, tag, nbytes, payload, seq, request):
         super().__init__(comm, src, dst, tag, nbytes, payload, seq, request, nbytes)
 
-    def _tx_done(self, event: Event) -> None:
+    def _tx_done(self) -> None:
         if not self.attempt:
             self.request._complete()
-        _WireSend._tx_done(self, event)
+        _WireSend._tx_done(self)
 
     def _landed(self) -> None:
         self._land("eager")
@@ -325,20 +337,20 @@ class _RendezvousSend(_WireSend):
         cts.callbacks.append(self._cleared)
 
     def _cleared(self, _event: Event) -> None:
-        Timeout(self.env, self.network.config.latency_s).callbacks.append(self._stream)
+        self.env.call_in(self.network.config.latency_s, self._stream)
 
-    def _stream(self, _event: Event) -> None:
+    def _stream(self) -> None:
         if self.tx_nic is self.rx_nic:
             config = self.network.config
-            Timeout(
-                self.env,
+            self.env.call_in(
                 config.cpu_overhead_s + config.serialization_time(self.nbytes) / 4,
-            ).callbacks.append(self._delivered)
+                self._delivered,
+            )
             return
         self._aim(self.nbytes)
         self._start()
 
-    def _delivered(self, _event: Optional[Event] = None) -> None:
+    def _delivered(self) -> None:
         self.request._complete()
         self.data.succeed(self.payload)
 

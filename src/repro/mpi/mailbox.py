@@ -5,16 +5,21 @@ wildcards) pairs with the earliest-arrived matching envelope; an arriving
 envelope pairs with the earliest-posted matching receive.  Because envelopes
 from one sender arrive in the order they were sent (the sender's TX channel
 serializes them), the MPI non-overtaking guarantee holds.
+
+A posted receive is a :class:`~repro.mpi.request.RecvRequest` or a
+stand-in with the same four members: ``source`` and ``tag`` to match on,
+``_matched`` (set on the match) and ``_deliver(payload, envelope)``
+(called when the payload is here).  The collectives' machines post
+themselves that way.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from ..sim import Environment
 from .constants import EAGER, RENDEZVOUS_RTS
 from .message import Envelope, Status
-from .request import RecvRequest
 
 
 class Mailbox:
@@ -24,7 +29,7 @@ class Mailbox:
         self.env = env
         self.rank = rank
         self.unexpected: List[Envelope] = []
-        self.posted: List[RecvRequest] = []
+        self.posted: List[Any] = []
 
     def __repr__(self) -> str:
         return (
@@ -47,7 +52,7 @@ class Mailbox:
         self.unexpected.append(envelope)
 
     # -- receive side ------------------------------------------------------
-    def post(self, recv: RecvRequest) -> None:
+    def post(self, recv: Any) -> None:
         """A receive was posted; match against unexpected messages first."""
         for envelope in self.unexpected:
             if envelope.matches(recv.source, recv.tag):
@@ -56,7 +61,7 @@ class Mailbox:
                 return
         self.posted.append(recv)
 
-    def unpost(self, recv: RecvRequest) -> None:
+    def unpost(self, recv: Any) -> None:
         try:
             self.posted.remove(recv)
         except ValueError:
@@ -70,18 +75,18 @@ class Mailbox:
         return None
 
     # -- internals ---------------------------------------------------------
-    def _match(self, recv: RecvRequest, envelope: Envelope) -> None:
+    def _match(self, recv: Any, envelope: Envelope) -> None:
         recv._matched = True
         if envelope.kind == EAGER:
             # Payload already buffered here; the receive completes now.
-            recv._deliver(envelope.payload, envelope.status)
+            recv._deliver(envelope.payload, envelope)
         elif envelope.kind == RENDEZVOUS_RTS:
             # Unblock the sender's payload transfer; complete the receive
             # once the payload actually lands.
             assert envelope.data_event is not None and envelope.cts_event is not None
 
             def on_data(event) -> None:
-                recv._deliver(event.value, envelope.status)
+                recv._deliver(event.value, envelope)
 
             envelope.data_event.callbacks.append(on_data)
             envelope.cts_event.succeed()

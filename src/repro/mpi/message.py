@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from .constants import ANY_SOURCE, ANY_TAG, EAGER
@@ -20,7 +20,6 @@ class Status:
     nbytes: int
 
 
-@dataclass
 class Envelope:
     """A message (or rendezvous header) as seen by the matching engine.
 
@@ -28,23 +27,51 @@ class Envelope:
     already been buffered at the receiver) or
     :data:`~repro.mpi.constants.RENDEZVOUS_RTS` (only the header arrived;
     ``cts_event`` unblocks the sender's payload transfer and ``data_event``
-    fires once the payload lands).
+    fires once the payload lands).  One is made per message, so it is a
+    plain ``__slots__`` class; two envelopes are equal only if they are
+    the same message.
     """
 
-    src: int
-    dst: int
-    tag: int
-    nbytes: int
-    payload: Any
-    kind: str = EAGER
-    seq: int = 0
-    cts_event: Optional["Event"] = field(default=None, repr=False)
-    data_event: Optional["Event"] = field(default=None, repr=False)
+    __slots__ = (
+        "src", "dst", "tag", "nbytes", "payload", "kind", "seq",
+        "cts_event", "data_event",
+    )
+
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        tag: int,
+        nbytes: int,
+        payload: Any,
+        kind: str = EAGER,
+        seq: int = 0,
+        cts_event: Optional["Event"] = None,
+        data_event: Optional["Event"] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.nbytes = nbytes
+        self.payload = payload
+        self.kind = kind
+        self.seq = seq
+        self.cts_event = cts_event
+        self.data_event = data_event
+
+    def __repr__(self) -> str:
+        return (
+            f"Envelope(src={self.src}, dst={self.dst}, tag={self.tag}, "
+            f"nbytes={self.nbytes}, kind={self.kind!r}, seq={self.seq})"
+        )
 
     def matches(self, source: int, tag: int) -> bool:
-        """Does this envelope satisfy a receive posted for (source, tag)?"""
+        """Does this envelope satisfy a receive posted for (source, tag)?
+
+        ``ANY_TAG`` matches user tags only (>= 0): the collectives' reserved
+        negative tags are never received by a wildcard user receive."""
         source_ok = source == ANY_SOURCE or source == self.src
-        tag_ok = tag == ANY_TAG or tag == self.tag
+        tag_ok = tag == self.tag or (tag == ANY_TAG and self.tag >= 0)
         return source_ok and tag_ok
 
     @property

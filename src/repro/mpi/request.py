@@ -9,10 +9,10 @@ fragment that suspends until completion.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from ..sim import Environment, Event, SimulationError
-from .message import Status
+from .message import Envelope, Status
 
 
 class Request:
@@ -78,15 +78,20 @@ class SendRequest(Request):
 
 
 class RecvRequest(Request):
-    """A posted receive.  Completes with the message payload."""
+    """A posted receive.  Completes with the message payload.
 
-    __slots__ = ("source", "tag", "_status", "_mailbox", "_matched")
+    The mailbox hands over the matched envelope; its :class:`Status` is
+    built on the first :attr:`status` read, since most receives are never
+    asked for one."""
+
+    __slots__ = ("source", "tag", "_status", "_envelope", "_mailbox", "_matched")
 
     def __init__(self, env: Environment, source: int, tag: int, mailbox) -> None:
         super().__init__(env)
         self.source = source
         self.tag = tag
         self._status: Optional[Status] = None
+        self._envelope: Optional[Envelope] = None
         self._mailbox = mailbox
         self._matched = False
 
@@ -94,7 +99,9 @@ class RecvRequest(Request):
     def status(self) -> Status:
         """The receive status; only valid once completed."""
         if self._status is None:
-            raise SimulationError("Receive has not completed; no status available")
+            if self._envelope is None:
+                raise SimulationError("Receive has not completed; no status available")
+            self._status = self._envelope.status
         return self._status
 
     @property
@@ -109,6 +116,6 @@ class RecvRequest(Request):
         self._cancelled = True
         self._mailbox.unpost(self)
 
-    def _deliver(self, payload: Any, status: Status) -> None:
-        self._status = status
+    def _deliver(self, payload: Any, envelope: Envelope) -> None:
+        self._envelope = envelope
         self._complete(payload)

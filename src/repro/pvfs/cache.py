@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from ..sim import Event, Request, Resource, Timeout
+from ..sim import Request, Resource
 from .extents import add
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,8 +113,9 @@ class WriteBackCache:
             self._copy_in(live, nbytes, then)
 
     def _copy_in(self, live: List[Tuple[int, int]], nbytes: int, then) -> None:
-        Timeout(self.env, self.memory_time(len(live), nbytes)).callbacks.append(
-            lambda _event: self._absorbed(live, nbytes, then)
+        self.env.call_in(
+            self.memory_time(len(live), nbytes),
+            lambda: self._absorbed(live, nbytes, then),
         )
 
     def _absorbed(self, live: List[Tuple[int, int]], nbytes: int, then) -> None:
@@ -198,7 +199,7 @@ class WriteBackCache:
         self.dirty_bytes = 0
         return dropped
 
-    def _watch_idle(self, _event: Optional[Event] = None) -> None:
+    def _watch_idle(self) -> None:
         """Flush once writes stop arriving: a chain of timeouts (and
         flushes) that ends when nothing is dirty."""
         if not self.dirty_bytes:
@@ -208,6 +209,4 @@ class WriteBackCache:
         if self.env.now >= wake_at:
             self.flush(self._watch_idle)
         else:
-            Timeout(self.env, wake_at - self.env.now).callbacks.append(
-                self._watch_idle
-            )
+            self.env.call_in(wake_at - self.env.now, self._watch_idle)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..sim import Environment, Event, Join, Lane, SimulationError, Timeout
+from ..sim import Environment, Event, Join, Lane, SimulationError
 from ..mpi.network import NetworkConfig, Nic, KIB, MIB
 from .bytestore import ByteStore
 from .disk import DiskModel
@@ -390,9 +390,7 @@ class FileSystem:
             if server.up and not ledger.empty:
                 chunk = ledger.drain(cfg.rebuild_chunk_B)
                 nbytes = sum(length for _, length in chunk)
-                Timeout(env, nbytes / cfg.rebuild_Bps).callbacks.append(
-                    lambda _event: pulled(chunk, nbytes)
-                )
+                env.call_in(nbytes / cfg.rebuild_Bps, lambda: pulled(chunk, nbytes))
                 return
             self._rebuild_active.discard(sid)
             if moved and self.recorder is not None:
@@ -533,19 +531,20 @@ class FileSystem:
         Rate-limited by the slower of the NIC and the PVFS2 client
         pipeline; holds the host NIC so file-system and MPI traffic
         contend, as they did on Feynman's shared Myrinet.  Returns the
-        hold's done event and the NIC (None on the per-client lane
-        fallback), to hand to :meth:`_count_tx` once the hold ends.
+        lane to hold, the hold's seconds and the NIC (None on the
+        per-client lane fallback), to hand to :meth:`_count_tx` once the
+        hold ends.
         """
         net = self.config.network
         rate = min(net.bandwidth_Bps, self.config.client_pipeline_Bps)
         seconds = nbytes / rate + net.cpu_overhead_s
         nic = self._client_nic(client) if self._client_nic is not None else None
         if nic is not None:
-            return nic.tx.hold(seconds), nic
+            return nic.tx, seconds, nic
         lane = self._client_locks.get(client)
         if lane is None:
             lane = self._client_locks[client] = Lane(self.env)
-        return lane.hold(seconds), None
+        return lane, seconds, None
 
     def _count_tx(self, nic: Nic, client: int, nbytes: int) -> None:
         nic.stats.tx_messages += 1
@@ -626,14 +625,16 @@ class _ServerRequest(Event):
     in a generator process.  The first step (admission, then the client
     TX hold or the first back-off) runs in the constructor, at the call,
     as every send's does (see :class:`~repro.mpi.communicator._Send`).
-    Each later step is a callback on the event the process would have
-    yielded, scheduled in the order the process scheduled it: the outage
-    back-off timeouts, the client TX hold (NIC stats counted after it),
-    the wire latency, the server's ``net_in`` hold (writes), the server
-    side, the ``net_out`` hold (reads), and this event itself, NORMAL,
-    ``latency_s`` after the reply leaves.  The process's start event, the
-    relay timeout of the reply's flight and its completion event are
-    gone; every result stays bit-identical (``docs/MODELING.md`` §1).
+    Each later step is a bare callable in the queue slot of the event the
+    process would have yielded (``Environment.call_in`` and
+    ``Lane.hold_then``), scheduled in the order the process scheduled it:
+    the outage back-offs, the client TX hold (NIC stats counted after
+    it), the wire latency, the server's ``net_in`` hold (writes), the
+    server side, the ``net_out`` hold (reads), and this event itself,
+    NORMAL, ``latency_s`` after the reply leaves.  The process's start
+    event, the relay timeout of the reply's flight and its completion
+    event are gone; every result stays bit-identical
+    (``docs/MODELING.md`` §1).
 
     Admission picks the members the leg serves, at the call and again
     after each back-off.  A sync or a one-copy leg serves its server once
@@ -689,7 +690,7 @@ class _ServerRequest(Event):
         self._admit()
 
     # -- client: admission, outage back-off, TX, wire -------------------------
-    def _admit(self, _event: Optional[Event] = None) -> None:
+    def _admit(self) -> None:
         """Pick the members to serve and transmit, or back off."""
         chain = self.chain
         if chain is None:
@@ -777,32 +778,30 @@ class _ServerRequest(Event):
     def _back_off(self) -> None:
         wait = self.delay
         self.delay = self.fs._retry(wait, self.server.server_id)
-        Timeout(self.env, wait).callbacks.append(self._admit)
+        self.env.call_in(wait, self._admit)
 
     def _transmit(self) -> None:
-        done, self.nic = self.fs._client_hold(self.client, self.tx_B)
-        done.callbacks.append(self._sent)
+        lane, seconds, self.nic = self.fs._client_hold(self.client, self.tx_B)
+        lane.hold_then(seconds, self._sent)
 
-    def _sent(self, _event: Event) -> None:
+    def _sent(self) -> None:
         if self.nic is not None:
             self.fs._count_tx(self.nic, self.client, self.tx_B)
-        self._fly(_event)
+        self._fly()
 
-    def _fly(self, _event: Event) -> None:
-        Timeout(self.env, self.fs.config.network.latency_s).callbacks.append(
-            self._arrived
-        )
+    def _fly(self) -> None:
+        self.env.call_in(self.fs.config.network.latency_s, self._arrived)
 
-    def _arrived(self, _event: Event) -> None:
+    def _arrived(self) -> None:
         if self.kind == _WRITE:
-            self.server.net_in.hold(
-                self.fs.config.network.serialization_time(self.tx_B)
-            ).callbacks.append(self._serve)
+            self.server.net_in.hold_then(
+                self.fs.config.network.serialization_time(self.tx_B), self._serve
+            )
         else:
-            self._serve(_event)
+            self._serve()
 
     # -- server ---------------------------------------------------------------
-    def _serve(self, _event: Event) -> None:
+    def _serve(self) -> None:
         if self.kind == _SYNC:
             self.server.sync(self._served)
         else:
@@ -818,9 +817,9 @@ class _ServerRequest(Event):
             if at + 1 < len(members):
                 # Store-and-forward hop: this member serializes the copy
                 # out of its NIC before the next one takes it in.
-                self.server.net_out.hold(
-                    self.fs.config.network.serialization_time(self.tx_B)
-                ).callbacks.append(self._fly)
+                self.server.net_out.hold_then(
+                    self.fs.config.network.serialization_time(self.tx_B), self._fly
+                )
                 self.at = at + 1
                 self.server, self.regions = members[at + 1]
                 return
@@ -828,13 +827,13 @@ class _ServerRequest(Event):
             # The response leaves on the server's *outbound* channel — read
             # replies must not queue behind incoming write payloads on
             # ``net_in`` (full duplex, like a NIC's TX/RX split).
-            self.server.net_out.hold(
-                self.fs.config.network.serialization_time(self.nbytes)
-            ).callbacks.append(self._replied)
+            self.server.net_out.hold_then(
+                self.fs.config.network.serialization_time(self.nbytes), self._replied
+            )
         else:
-            self._replied(None)
+            self._replied()
 
-    def _replied(self, _event: Optional[Event]) -> None:
+    def _replied(self) -> None:
         # The reply's flight ends the leg: no relay event in between.
         self._value = None
         self.env.schedule(self, delay=self.fs.config.network.latency_s)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim import Environment, Event, Lane, Timeout
+from ..sim import Environment, Lane
 from . import extents
 from .cache import ABSORB_REGION_S, WriteBackCache
 from .disk import DiskModel, ServiceDetail
@@ -265,17 +265,13 @@ class IOServer:
         if self.bare:
             self.disk_queue.claim(start, offset)
             return
-        # A stacked server prices its service when a grant event is
-        # processed, later in the granting instant: the service timeout
+        # A stacked server prices its service one queue entry later in the
+        # granting instant (the slot its grant event took): the service
         # draws its queue id there, and same-instant ties are ordered as
         # the golden suites pin them.
-        grant = Event(self.env)
-        grant.callbacks.append(start)
-        self.disk_queue.claim(grant.succeed, offset)
+        self.disk_queue.claim(partial(self.env.call_in, 0.0, start), offset)
 
-    def _disk_granted(
-        self, regions: Optional[Regions], is_read: bool, then, _grant=None
-    ) -> None:
+    def _disk_granted(self, regions: Optional[Regions], is_read: bool, then) -> None:
         """The disk is ours: price the service from the head and disk model
         of this instant, move the head, and hold the disk that long."""
         if regions is None:
@@ -285,14 +281,14 @@ class IOServer:
             detail = self.disk.service_detail(regions, self.head_position)
             self.head_position = detail.new_head
             seconds = detail.seconds
-        Timeout(self.env, seconds).callbacks.append(
-            partial(self._disk_done, regions, is_read, detail, then)
+        self.env.call_in(
+            seconds, partial(self._disk_done, regions, is_read, detail, seconds, then)
         )
 
-    def _disk_done(self, regions, is_read: bool, detail, then, event: Event) -> None:
+    def _disk_done(self, regions, is_read: bool, detail, seconds: float, then) -> None:
         """Account the service, release the disk and call ``then()``."""
         if regions is None:
-            self._sync_serviced(event.delay)
+            self._sync_serviced(seconds)
         else:
             self._disk_serviced(regions, is_read, detail)
         self.disk_queue.release(self.head_position)
@@ -415,7 +411,7 @@ class IOServer:
             return
         nbytes = sum(length for _, length in hits)
 
-        def copied(_event: Event) -> None:
+        def copied() -> None:
             if cached:
                 self.cache.read_hits += len(hits)
             else:
@@ -427,7 +423,7 @@ class IOServer:
             then()
 
         seconds = ABSORB_REGION_S * len(hits) + nbytes / self._mem_Bps
-        Timeout(self.env, seconds).callbacks.append(copied)
+        self.env.call_in(seconds, copied)
 
     # -- sequential read-ahead ----------------------------------------------
     def _ra_invalidate(self, regions: Regions, inflight: bool = True) -> None:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from types import BuiltinMethodType, FunctionType, MethodType
+from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from ..check.invariants import NULL_CHECKER
 from ..obs.metrics import NULL_METRICS
@@ -14,22 +16,33 @@ from .process import Process, ProcessGenerator
 
 _INF = float("inf")
 
+#: Queue entries of these types are bare callables (see ``call_in``);
+#: everything else in the queue is an :class:`Event`.
+_BARE = frozenset({MethodType, FunctionType, partial, BuiltinMethodType})
+
 
 class Environment:
     """Execution environment for a discrete-event simulation.
 
     Time is a float in *seconds* throughout this project.  The event queue
-    is a single binary heap (``heapq``) of ``(time, priority, eid, event)``
-    entries: events run in time order, same-time events by priority
+    is a single binary heap (``heapq``) of ``(time, priority, eid, entry)``
+    tuples: entries run in time order, same-time entries by priority
     (URGENT before NORMAL), then FIFO by the monotonically increasing
     insertion id ``eid``.  That key is total, so a run's event order — and
     every simulated result — depends only on what was scheduled, never on
     the heap's internal layout.
+
+    An entry is an :class:`Event` or a bare callable.  Processes yield
+    events; callback machines (sends, PVFS legs, the server stack, the
+    collectives) schedule callables with :meth:`call_in` for the steps
+    only they read.  A callable takes the queue slot an event would have
+    taken (same time, priority and ``eid`` counter), so moving a step
+    from one form to the other leaves the order of every entry alone.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, int, Any]] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
         # Observability hook: layers emit counters/histograms here.  The
@@ -99,16 +112,33 @@ class Environment:
             t = self._now
         heappush(self._queue, (t, priority, next(self._eid), event))
 
+    def call_in(self, delay: float, fn: Callable[[], Any]) -> None:
+        """Call ``fn()`` ``delay`` seconds from now, in the queue slot a
+        :class:`Timeout` of ``delay`` made here would take, without the
+        event: no value, no callback list, nothing to wait on.
+
+        ``fn`` must be a function, a bound method or a
+        ``functools.partial``.  The delay is checked as ``Timeout``
+        checks it: NaN, negative and infinite delays are rejected.
+        """
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"call_in delay must be finite and >= 0, got {delay!r}")
+        heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), fn))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
-        """Process the next event: advance the clock, run callbacks."""
+        """Process the next entry: advance the clock, then call a bare
+        callable or run an event's callbacks."""
         queue = self._queue
         if not queue:
             raise EmptySchedule()
         self._now, _, _, event = heappop(queue)
+        if event.__class__ in _BARE:
+            event()
+            return
 
         callbacks = event.callbacks
         if callbacks is None:  # pragma: no cover - defensive

@@ -11,6 +11,10 @@ Events move through three states:
 ``untriggered`` → ``triggered`` (scheduled, has a value) → ``processed``
 (callbacks ran).
 
+Processes yield events; callback machines schedule bare callables
+(:meth:`~repro.sim.environment.Environment.call_in`) for the steps only
+they read, in the queue slot the event would have taken.
+
 Waits compose two ways, and only two: :class:`Join` (all of a set of
 events; the collectives and the PVFS fan-outs) and :class:`AnyOf` (the
 first of them; the master's and the workers' message loops).  Neither

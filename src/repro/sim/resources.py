@@ -8,7 +8,7 @@ slot pool: a request is an event that a process yields, and it works
 as a context manager for exception-safe release.  :class:`Lane` is
 the cheaper special case the model's serial channels need: FIFO,
 capacity 1, and a hold whose length is known when it is asked for, so
-one event per hold replaces a grant event plus a timeout.
+one queue entry per hold replaces a grant event plus a timeout.
 :class:`Store` is a buffer of Python objects with filtered gets.
 """
 
@@ -148,23 +148,31 @@ class Lane:
     order with it.  ``tests/integration/test_perf_digests.py`` shows that
     no benchmark workload has such a tie.
 
+    :meth:`hold` is the form a process yields.  A callback machine uses
+    :meth:`hold_then` instead: the same hold on the same FIFO, whose end
+    is a bare callable in the queue (``Environment.call_in``) that frees
+    the lane, exactly as ``_free`` does, and then calls the machine.
+
     A hold cannot be cancelled or cut short.  A process interrupted while
     it waits on a hold stops waiting, but the hold still occupies the
     lane to its end (a ``Resource`` would free the slot at once).  The
     simulator never interrupts a process that waits on a hold: the fault
     injector interrupts only worker processes, and the holds a worker's
-    sends and PVFS legs issue at its call are waited on by callback state
-    machines and helper processes.
+    sends and PVFS legs issue at its call are callback holds of their
+    machines.
     """
 
-    __slots__ = ("env", "_busy", "_waiting")
+    __slots__ = ("env", "_busy", "_waiting", "_then")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self._busy = False
         # Most lanes never queue a hold (a thousand-rank run builds
         # thousands of them), so the wait queue is made on first use.
-        self._waiting: Optional[Deque[Tuple[float, Event]]] = None
+        # Its items are ``(seconds, done event or then callable)``.
+        self._waiting: Optional[Deque[Tuple[float, Any]]] = None
+        # The running callback hold's ``then`` (one hold runs at a time).
+        self._then: Optional[Callable[[], Any]] = None
 
     def __repr__(self) -> str:
         return f"<Lane busy={self._busy} queued={self.queued}>"
@@ -196,14 +204,39 @@ class Lane:
         self._busy = True
         return done
 
-    def _free(self, _event: Event) -> None:
+    def hold_then(self, seconds: float, then: Callable[[], Any]) -> None:
+        """:meth:`hold` for a callback machine: call ``then()`` when the
+        hold ends, right after the lane has started the next queued hold,
+        and schedule no event."""
+        if not 0.0 <= seconds < _INF:
+            raise ValueError(f"hold must be finite and >= 0, got {seconds!r}")
+        if self._busy:
+            if self._waiting is None:
+                self._waiting = deque()
+            self._waiting.append((seconds, then))
+            return
+        self._busy = True
+        self._then = then
+        env = self.env
+        heappush(env._queue, (env._now + seconds, NORMAL, next(env._eid), self._ended))
+
+    def _ended(self) -> None:
+        then = self._then
+        self._free(None)
+        then()
+
+    def _free(self, _event: Optional[Event]) -> None:
         if not self._waiting:
             self._busy = False
             return
-        seconds, done = self._waiting.popleft()
-        done._value = None
+        seconds, holder = self._waiting.popleft()
+        if isinstance(holder, Event):
+            holder._value = None
+        else:
+            self._then = holder
+            holder = self._ended
         env = self.env
-        heappush(env._queue, (env._now + seconds, NORMAL, next(env._eid), done))
+        heappush(env._queue, (env._now + seconds, NORMAL, next(env._eid), holder))
 
 
 class StoreGet(Event):

@@ -199,14 +199,22 @@ def test_one_rank_reaches_its_nic_in_issue_order(monkeypatch):
     before the sends are issued, so its chain leg must take the lane
     first."""
     ended = []
-    hold = Lane.hold
+    hold, hold_then = Lane.hold, Lane.hold_then
 
     def spying_hold(self, seconds):
         done = hold(self, seconds)
         done.callbacks.append(lambda _e: ended.append((self, done.env.now, seconds)))
         return done
 
+    def spying_hold_then(self, seconds, then):
+        def ended_then():
+            ended.append((self, self.env.now, seconds))
+            then()
+
+        hold_then(self, seconds, ended_then)
+
     monkeypatch.setattr(Lane, "hold", spying_hold)
+    monkeypatch.setattr(Lane, "hold_then", spying_hold_then)
     for pvfs, write_first in (
         (PVFSConfig(nservers=1), False),
         (PVFSConfig(nservers=2, replicas=2), True),

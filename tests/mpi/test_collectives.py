@@ -3,7 +3,7 @@
 import pytest
 
 from repro import mpi
-from repro.mpi import MpiWorld, NetworkConfig, RankComm, collective_tag
+from repro.mpi import Communicator, MpiWorld, NetworkConfig, collective_tag
 from repro.mpi.collectives import alltoall
 
 
@@ -139,13 +139,13 @@ class TestAllToAll:
         """One data message per nonzero off-diagonal entry, plus the count
         exchange's one message per rank per Bruck step."""
         sent = []
-        isend = RankComm.isend
+        start_send = Communicator._start_send
 
-        def spy(self, dst, tag, nbytes, payload=None, oob=False):
-            sent.append((tag, self.rank, dst, nbytes))
-            return isend(self, dst, tag, nbytes, payload, oob)
+        def spy(self, src, dst, tag, nbytes, payload, oob=False, request=None):
+            sent.append((tag, src, dst, nbytes))
+            return start_send(self, src, dst, tag, nbytes, payload, oob, request)
 
-        monkeypatch.setattr(RankComm, "isend", spy)
+        monkeypatch.setattr(Communicator, "_start_send", spy)
 
         def main(comm):
             yield from mpi.alltoallv(comm, sparse_sizes(comm.size, comm.rank))
@@ -232,6 +232,29 @@ class TestConcurrentCollectives:
 
         out, _ = run_collective(3, main)
         assert out[1] == "user"
+
+    def test_wildcard_receive_never_takes_collective_traffic(self):
+        """``ANY_TAG`` matches user tags only: rank 1's wildcard receive,
+        posted before the barrier's messages arrive, waits for rank 0's
+        tag-5 send instead of taking rank 3's barrier message (which
+        would leave rank 1's barrier short of a message forever)."""
+
+        def main(comm):
+            if comm.rank == 1:
+                payload, status = yield from comm.recv()
+                assert comm.iprobe() is None
+                yield from mpi.barrier(comm)
+                return payload, status
+            if comm.rank == 0:
+                yield comm.env.timeout(1e-3)
+                yield from comm.send(1, tag=5, nbytes=10, payload="user")
+            yield from mpi.barrier(comm)
+            return None
+
+        out, _ = run_collective(4, main)
+        payload, status = out[1]
+        assert payload == "user"
+        assert (status.source, status.tag, status.nbytes) == (0, 5, 10)
 
     def test_barrier_cost_grows_with_ranks(self):
         times = {}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, Envelope, Mailbox
+from repro.mpi import ANY_SOURCE, ANY_TAG, Envelope, Mailbox, collective_tag
 from repro.mpi.constants import EAGER, RENDEZVOUS_RTS
 from repro.mpi.request import RecvRequest
 from repro.sim import Environment
@@ -73,6 +73,17 @@ class TestMatchingRules:
         mailbox.deliver(make_envelope(env, tag=5))
         assert not recv.matched
         mailbox.deliver(make_envelope(env, tag=9))
+        assert recv.matched
+
+    def test_any_tag_skips_collective_tags(self, env):
+        mailbox = Mailbox(env, rank=1)
+        mailbox.deliver(make_envelope(env, tag=collective_tag(0)))
+        assert mailbox.probe(ANY_SOURCE, ANY_TAG) is None
+        recv = RecvRequest(env, source=ANY_SOURCE, tag=ANY_TAG, mailbox=mailbox)
+        mailbox.post(recv)
+        assert not recv.matched
+        assert mailbox.probe(0, collective_tag(0)) is not None
+        mailbox.deliver(make_envelope(env, tag=0, payload="user"))
         assert recv.matched
 
     def test_earliest_posted_recv_wins(self, env):

@@ -264,8 +264,7 @@ class TestInterruptedHolder:
         """The documented difference never matters: a worker crash is the
         only interrupt, and worker processes never wait on a lane hold
         themselves (sends and PVFS legs issue their holds in the worker's
-        step but wait in callback machines, replica chains in helper
-        processes)."""
+        step as callback holds of their machines)."""
         spy = HoldSpy(monkeypatch)
         plan = FaultPlan.standard(crash_rank=1, crash_time=6.0, downtime_s=2.0)
         cfg = SimulationConfig(
@@ -276,7 +275,7 @@ class TestInterruptedHolder:
         result = S3aSim(cfg).run()
         assert result.fault_stats["crashes"] == 1
         assert spy.interrupted
-        assert spy.dones, "the spy saw no lane hold"
+        assert spy.dones or spy.then_holds, "the spy saw no lane hold"
         assert not spy.caught
 
     def test_spy_catches_a_worker_waiting_on_its_own_hold(self, monkeypatch):
@@ -302,17 +301,24 @@ class TestInterruptedHolder:
 
 
 class HoldSpy:
-    """Records the done event of every ``Lane.hold`` and every process
-    interrupted while it waits on one of them (``caught``)."""
+    """Records the done event of every ``Lane.hold``, counts every
+    ``Lane.hold_then`` (a callback hold, which no process can wait on),
+    and records every process interrupted while it waits on a done event
+    (``caught``)."""
 
     def __init__(self, monkeypatch) -> None:
         self.dones, self.interrupted, self.caught = set(), [], []
-        hold, interrupt = Lane.hold, Process.interrupt
+        self.then_holds = 0
+        hold, hold_then, interrupt = Lane.hold, Lane.hold_then, Process.interrupt
 
         def recording_hold(lane, seconds):
             done = hold(lane, seconds)
             self.dones.add(done)
             return done
+
+        def counting_hold_then(lane, seconds, then):
+            self.then_holds += 1
+            return hold_then(lane, seconds, then)
 
         def recording_interrupt(process, cause=None):
             self.interrupted.append(process)
@@ -321,4 +327,5 @@ class HoldSpy:
             return interrupt(process, cause)
 
         monkeypatch.setattr(Lane, "hold", recording_hold)
+        monkeypatch.setattr(Lane, "hold_then", counting_hold_then)
         monkeypatch.setattr(Process, "interrupt", recording_interrupt)
