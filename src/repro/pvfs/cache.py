@@ -34,7 +34,7 @@ Model (every step a callback: :meth:`~WriteBackCache.absorb` and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from ..sim import Request, Resource
 from .extents import add

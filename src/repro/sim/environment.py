@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count
-from types import BuiltinMethodType, FunctionType, MethodType
+from types import FunctionType, MethodType
 from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from ..check.invariants import NULL_CHECKER
@@ -18,7 +18,7 @@ _INF = float("inf")
 
 #: Queue entries of these types are bare callables (see ``call_in``);
 #: everything else in the queue is an :class:`Event`.
-_BARE = frozenset({MethodType, FunctionType, partial, BuiltinMethodType})
+_BARE = frozenset({MethodType, FunctionType, partial})
 
 
 class Environment:

@@ -222,6 +222,8 @@ class Lane:
 
     def _ended(self) -> None:
         then = self._then
+        # An idle lane must not keep its last holder alive.
+        self._then = None
         self._free(None)
         then()
 
