@@ -111,7 +111,7 @@ class _Dissemination(Event):
         self._matched = False
         self.mailbox.post(self)
 
-    def _complete(self, _value: Any = None) -> None:
+    def _complete(self) -> None:
         """The round's send completed (the send request's slot)."""
         self.env.call_in(0.0, self._half_done)
 

@@ -80,17 +80,16 @@ class SendRequest(Request):
 class RecvRequest(Request):
     """A posted receive.  Completes with the message payload.
 
-    The mailbox hands over the matched envelope; its :class:`Status` is
-    built on the first :attr:`status` read, since most receives are never
+    The mailbox hands over the matched envelope; a :class:`Status` is
+    built only when :attr:`status` is read, since most receives are never
     asked for one."""
 
-    __slots__ = ("source", "tag", "_status", "_envelope", "_mailbox", "_matched")
+    __slots__ = ("source", "tag", "_envelope", "_mailbox", "_matched")
 
     def __init__(self, env: Environment, source: int, tag: int, mailbox) -> None:
         super().__init__(env)
         self.source = source
         self.tag = tag
-        self._status: Optional[Status] = None
         self._envelope: Optional[Envelope] = None
         self._mailbox = mailbox
         self._matched = False
@@ -98,11 +97,9 @@ class RecvRequest(Request):
     @property
     def status(self) -> Status:
         """The receive status; only valid once completed."""
-        if self._status is None:
-            if self._envelope is None:
-                raise SimulationError("Receive has not completed; no status available")
-            self._status = self._envelope.status
-        return self._status
+        if self._envelope is None:
+            raise SimulationError("Receive has not completed; no status available")
+        return self._envelope.status
 
     @property
     def matched(self) -> bool:

@@ -1,6 +1,7 @@
 """Environment edge cases: scheduling, stepping, introspection."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -37,6 +38,12 @@ class TestScheduling:
         event = env.event()
         with pytest.raises(SimulationError):
             env.schedule(event, delay=float("inf"))
+        assert env.queue_size == 0
+
+    @pytest.mark.parametrize("delay", [float("nan"), -1.0, float("inf")])
+    def test_call_in_bad_delay_rejected(self, env, delay):
+        with pytest.raises(ValueError):
+            env.call_in(delay, lambda: None)
         assert env.queue_size == 0
 
     def test_run_until_nan_rejected(self, env):
@@ -102,6 +109,20 @@ class TestSameTimeOrdering:
             t.callbacks.append(lambda e: order.append(e.value))
         env.run()
         assert order == ["a", "b", "c"]
+
+    def test_call_in_takes_a_timeouts_slot(self, env):
+        """A bare callable runs where a ``Timeout`` scheduled at the same
+        call would fire: by time, then in scheduling order among events,
+        and it draws from the same insertion counter."""
+        order = []
+        env.call_in(1, lambda: order.append("a"))
+        env.timeout(1, value="b").callbacks.append(lambda e: order.append(e.value))
+        env.call_in(0.5, partial(order.append, "early"))
+        env.call_in(1, partial(order.append, "c"))
+        env.run()
+        assert order == ["early", "a", "b", "c"]
+        assert env.now == 1.0
+        assert next(env._eid) == 4
 
     def test_basic_run(self, env):
         trace = []

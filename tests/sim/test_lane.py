@@ -3,10 +3,13 @@
 A lane must serve holds exactly as ``request`` / ``timeout`` / ``release``
 on a ``Resource(capacity=1)`` would: same completion instants, same
 same-instant order.  The property test drives seeded random request
-streams through both and compares every completion.
+streams through both and compares every completion: process holders
+yield ``hold``, callback holders use ``hold_then`` and ``call_in`` on
+the lane side and a ``Resource`` with ``Timeout`` events on the other.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -47,7 +50,7 @@ def run_stream(stream: list, use_lane: bool) -> list:
     def hold_then(seconds, then):
         """Callback holder: hold ``seconds``, then call ``then``."""
         if use_lane:
-            lane.hold(seconds).callbacks.append(lambda _e: then())
+            lane.hold_then(seconds, then)
             return
         req = res.request()
 
@@ -60,6 +63,14 @@ def run_stream(stream: list, use_lane: bool) -> list:
 
         req.callbacks.append(granted)
 
+    def wait_then(seconds, then):
+        """Callback holder's think time: a bare callable on the lane side,
+        the ``Timeout`` it stands for on the reference side."""
+        if use_lane:
+            env.call_in(seconds, then)
+        else:
+            Timeout(env, seconds).callbacks.append(lambda _e: then())
+
     def callback_holder(name, holds):
         def step(i):
             seconds, think = holds[i]
@@ -67,7 +78,7 @@ def run_stream(stream: list, use_lane: bool) -> list:
             def finished():
                 stamps.append((env.now, name, i))
                 if i + 1 < len(holds):
-                    Timeout(env, think).callbacks.append(lambda _e: step(i + 1))
+                    wait_then(think, lambda: step(i + 1))
 
             hold_then(seconds, finished)
 
@@ -90,8 +101,7 @@ def run_stream(stream: list, use_lane: bool) -> list:
         if kind == "process":
             env.process(process_holder(name, arrival, holds))
         else:
-            step = callback_holder(name, holds)
-            Timeout(env, arrival).callbacks.append(lambda _e, step=step: step(0))
+            wait_then(arrival, partial(callback_holder(name, holds), 0))
     env.run()
     return stamps
 
